@@ -21,7 +21,7 @@ from .engine import (ExecutionConfig, ProcessorSpec, Transcript,
                      run_execution)
 from .errors import (ConfigError, DanglingBlockError, ExecutionFault,
                      LedgerTooLargeError, ScheduleViolationError,
-                     SettingMismatchError)
+                     SettingMismatchError, TranscriptFormatError)
 from .experiment import (ExperimentSpec, Scenario, canonical_report_bytes,
                          run_experiment, transcript_digest)
 from .messages import Message, PublicKey, genesis_block, make_block
@@ -33,7 +33,6 @@ from .protocols import (ConfirmationRule, DensityCertificateRule,
                         DensityWitness, HonestStakeStrategy,
                         HonestWorkStrategy, KDeepRule, ObserverStrategy,
                         ProductionProfile, StepContext, Strategy,
-                        confirm_density_certificate, confirm_k_deep,
                         density_threshold, interval_length_r)
 from .resource_pool import (ConstantBalancePool, ScriptedPool, StakePool,
                             dominates, is_q_bounded, sample_unsized_pool)

@@ -31,18 +31,28 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .blocktree import BlockIndex, BlockSetView
-from .engine import ExecutionConfig, ProcessorSpec
+from .blocktree import BlockSetView
+from .engine import Execution, ExecutionConfig, ProcessorSpec
 from .errors import ConfigError
 from .messages import Message, make_block
 from .network import (CustomTableRule, SynchronySchedule, TimingRule,
                       build_timing_rule)
-from .permitter import PermitRequest, PermitResponse
-from .protocols import ObserverStrategy, StepContext, Strategy
+from .permitter import (MULTI, SINGLE, PermitRequest, PermitResponse,
+                        PermitterSetting)
+from .protocols import KDeepRule, ObserverStrategy, StepContext, Strategy
 
 # ---------------------------------------------------------------------------
 # private-fork double spend
 # ---------------------------------------------------------------------------
+
+
+def _public_chain_view(view: BlockSetView) -> BlockSetView:
+    """A fresh view holding genesis and the longest chain of ``view``."""
+    genesis = view.messages[view.index.genesis_id]
+    fork = BlockSetView.fresh(view.index, genesis)
+    for bid in view.index.ancestry(view.longest_tip)[1:]:
+        fork.add(view.messages[bid])
+    return fork
 
 
 class PrivateForkStrategy(Strategy):
@@ -84,13 +94,8 @@ class PrivateForkStrategy(Strategy):
         self.releases = 0
 
     def _reset(self, ctx: StepContext) -> None:
-        view = ctx.view
-        genesis = view.messages[view.index.genesis_id]
-        fork = BlockSetView.fresh(view.index, genesis)
-        for bid in view.index.ancestry(view.longest_tip)[1:]:
-            fork.add(view.messages[bid])
-        self._fork = fork
-        self._base_len = fork.longest_length
+        self._fork = _public_chain_view(ctx.view)
+        self._base_len = self._fork.longest_length
         self._unreleased = []
         self.rounds += 1
 
@@ -159,12 +164,7 @@ class StakeWithholdStrategy(Strategy):
         self._withheld: list[Message] = []
 
     def _refork(self, ctx: StepContext) -> None:
-        view = ctx.view
-        genesis = view.messages[view.index.genesis_id]
-        fork = BlockSetView.fresh(view.index, genesis)
-        for bid in view.index.ancestry(view.longest_tip)[1:]:
-            fork.add(view.messages[bid])
-        self._fork = fork
+        self._fork = _public_chain_view(ctx.view)
         self._withheld = []
 
     def on_receive(self, ctx: StepContext) -> None:
@@ -206,15 +206,20 @@ class StakeWithholdStrategy(Strategy):
 # ---------------------------------------------------------------------------
 
 
-class _InnerProcessor:
-    __slots__ = ("id", "keys", "strategy", "view", "pending")
+class _RequestRecorder:
+    """Permitter of a simulated world: it grants nothing itself and keeps
+    every request for the attacker to forward under its own keys."""
 
-    def __init__(self, pid, keys, strategy, view):
-        self.id = pid
-        self.keys = keys
-        self.strategy = strategy
-        self.view = view
-        self.pending: list[PermitResponse] = []
+    def __init__(self, timed: bool):
+        # each timing setting has one budget regime (see permitter)
+        self.setting = PermitterSetting(timed=timed,
+                                        budget=MULTI if timed else SINGLE)
+        self.requests: list[PermitRequest] = []
+
+    def respond(self, request: PermitRequest, pool, slot: int,
+                seed: int) -> PermitResponse:
+        self.requests.append(request)
+        return PermitResponse(key=request.key)
 
 
 class SimulationAttackerStrategy(Strategy):
@@ -225,6 +230,11 @@ class SimulationAttackerStrategy(Strategy):
     internal messages; give it the same policy and seed as the execution
     this simulation should mirror and the private run reproduces that
     execution exactly.  Public messages are ignored until release.
+
+    The private world is an ``Execution`` stepped once per slot, so it
+    runs under the engine's rules.  Its permitter only records requests;
+    the attacker forwards them to the real permitter and hands each real
+    response to the simulated processor that owns the key.
 
     ``release`` is either a fixed slot or ``"adaptive"``: release at the
     first slot where the inner chain is long enough to flip every honest
@@ -254,111 +264,73 @@ class SimulationAttackerStrategy(Strategy):
         ids = [s.id for s in self._specs]
         if len(set(ids)) != len(ids):
             raise ConfigError("simulated processor ids must be unique")
-        self._inner: dict[str, _InnerProcessor] | None = None
-        self._queue: dict[int, list[tuple[str, str]]] = {}
-        self._store: dict[str, Message] = {}
-        self._held: dict[str, set[str]] = {}
-        self._order: list[Message] = []  # inner broadcasts, causal order
         self._key_home: dict[str, str] = {}
-        self._requests: list[PermitRequest] = []
-        self._released = False
-        self.released_at: int | None = None
-
-    # -- inner machinery ----------------------------------------------------
-
-    def _build(self, ctx: StepContext) -> None:
-        genesis = ctx.view.messages[ctx.view.index.genesis_id]
-        index = BlockIndex(genesis)  # private tree, merged on release
-        self._store[genesis.id] = genesis
-        self._inner = {}
         for spec in self._specs:
-            view = BlockSetView.fresh(index, genesis)
-            self._inner[spec.id] = _InnerProcessor(
-                spec.id, spec.keys, spec.strategy(), view)
-            self._held[spec.id] = {genesis.id}
             for key in spec.keys:
-                home = self._key_home.get(key.owner)
-                if home is not None and home != spec.id:
+                home = self._key_home.setdefault(key.owner, spec.id)
+                if home != spec.id:
                     raise ConfigError(
                         f"key group {key.owner!r} is split across simulated "
                         f"processors {home!r} and {spec.id!r}")
-                self._key_home[key.owner] = spec.id
+        self._inner: Execution | None = None
+        self._recorder: _RequestRecorder | None = None
+        self._released = False
+        self.released_at: int | None = None
 
-    def _advance_inner(self, ctx: StepContext) -> None:
-        """Run one inner slot, mirroring the engine's phase order."""
-        slot = ctx.slot
-        due = self._queue.pop(slot, [])
-        ctxs: dict[str, StepContext] = {}
-        for ip in self._inner.values():
-            delivered = [self._store[mid] for rcv, mid in due if rcv == ip.id]
-            for msg in delivered:
-                ip.view.add(msg)
-            responses = tuple(ip.pending)
-            ip.pending = []
-            ictx = StepContext(
-                slot=slot, processor_id=ip.id, keys=ip.keys, view=ip.view,
-                responses=responses, delivered=tuple(delivered),
-                duration=ctx.duration, delta=ctx.delta, epsilon=ctx.epsilon,
-                timed=ctx.timed,
-            )
-            ctxs[ip.id] = ictx
-            ip.strategy.on_receive(ictx)
-        requests: list[PermitRequest] = []
-        for ip in self._inner.values():
-            ictx = ctxs[ip.id]
-            for msg in ip.strategy.plan_broadcasts(ictx):
-                self._store.setdefault(msg.id, msg)
-                self._order.append(msg)
-                ip.view.add(msg)
-                self._held[ip.id].add(msg.id)
-                for other in self._inner.values():
-                    if other.id == ip.id or msg.id in self._held[other.id]:
-                        continue
-                    due_slot = self._rule.delivery_slot(
-                        ip.id, other.id, msg.id, slot)
-                    if due_slot is None or due_slot > ctx.duration:
-                        continue
-                    self._queue.setdefault(due_slot, []).append(
-                        (other.id, msg.id))
-                    self._held[other.id].add(msg.id)
-            requests.extend(ip.strategy.plan_requests(ictx))
-        self._requests = requests
+    def _start(self, ctx: StepContext) -> None:
+        self._recorder = _RequestRecorder(ctx.timed)
+        config = ExecutionConfig(
+            duration=ctx.duration, delta=ctx.delta, epsilon=ctx.epsilon,
+            timed=ctx.timed,
+            schedule=SynchronySchedule.fully_synchronous(ctx.duration),
+            timing=self._rule,
+            pool=None,  # the recorder reads no balances
+            permitter=self._recorder,
+            confirmation=KDeepRule(self.confirm_k),
+            processors=self._specs,
+            seed=0,
+            label=self.name,
+        )
+        self._inner = Execution(config, self._rule, header={})
 
     # -- strategy hooks -------------------------------------------------------
 
     def on_receive(self, ctx: StepContext) -> None:
         if self._inner is None:
-            self._build(ctx)
+            self._start(ctx)
         if self._released:
-            self._requests = []
             return
+        runtimes = self._inner.runtimes
         for resp in ctx.responses:
             home = self._key_home.get(resp.key.owner)
             if home is not None:
-                self._inner[home].pending.append(resp)
-        self._advance_inner(ctx)
+                runtimes[home].pending.append(resp)
+        self._inner.step(ctx.slot)
 
     def _should_release(self, ctx: StepContext) -> bool:
         if self.release != "adaptive":
             return ctx.slot >= int(self.release)
-        inner_len = max(ip.view.longest_length for ip in self._inner.values())
+        inner_len = max(rt.view.longest_length
+                        for rt in self._inner.runtimes.values())
         public_len = ctx.view.longest_length
         return (inner_len >= max(public_len + self.margin, self.confirm_k + 2)
                 and public_len >= self.confirm_k + 2)
 
     def plan_broadcasts(self, ctx: StepContext) -> list[Message]:
-        if self._released or not self._order:
+        inner = self._inner.transcript
+        if self._released or not inner.broadcasts:
             return []
         if self._should_release(ctx):
             self._released = True
             self.released_at = ctx.slot
-            return list(self._order)
+            return [inner.store[mid] for _slot, _proc, mid in inner.broadcasts]
         return []
 
     def plan_requests(self, ctx: StepContext) -> list[PermitRequest]:
         if self._released:
             return []
-        return list(self._requests)
+        requests, self._recorder.requests = self._recorder.requests, []
+        return requests
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ class BlockIndex:
         self._parent: dict[str, str | None] = {genesis.id: None}
         self._height: dict[str, int] = {genesis.id: 0}
         self._timestamp: dict[str, int | None] = {genesis.id: genesis.timestamp}
-        self._children: dict[str, list[str]] = {genesis.id: []}
         # ancestry[b] = (genesis_id, ..., b); prefix_max_ts[b] mirrors it with
         # running maxima of timestamps (0 where untimed).
         self._ancestry: dict[str, tuple[str, ...]] = {genesis.id: (genesis.id,)}
@@ -56,8 +55,6 @@ class BlockIndex:
         self._parent[block.id] = parent
         self._height[block.id] = self._height[parent] + 1
         self._timestamp[block.id] = block.timestamp
-        self._children[block.id] = []
-        self._children[parent].append(block.id)
         self._ancestry[block.id] = self._ancestry[parent] + (block.id,)
         prev = self._prefix_max_ts[parent][-1]
         self._prefix_max_ts[block.id] = self._prefix_max_ts[parent] + (
@@ -75,9 +72,6 @@ class BlockIndex:
 
     def timestamp(self, block_id: str) -> int | None:
         return self._timestamp[block_id]
-
-    def children(self, block_id: str) -> list[str]:
-        return self._children[block_id]
 
     def ancestry(self, block_id: str) -> tuple[str, ...]:
         """(genesis, ..., block)."""
@@ -265,9 +259,6 @@ class BlockSetView:
         self.seen_pairs.add((signer.label() if signer else "", digest))
         for key, d in msg.embedded:
             self.seen_pairs.add((key.label(), d))
-
-    def dangling_ids(self) -> set[str]:
-        return {b for waits in self._dangling_by_parent.values() for b in waits}
 
 
 def _id_bits(msg_id: str) -> int:

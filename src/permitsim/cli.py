@@ -15,7 +15,7 @@ from pathlib import Path
 from .analysis import (check_security, measure_liveness,
                        verify_transcript_invariants)
 from .engine import Transcript
-from .errors import ConfigError, ExecutionFault
+from .errors import ConfigError, ExecutionFault, TranscriptFormatError
 from .experiment import ExperimentSpec, run_experiment
 from .scenarios import SCENARIOS, HonestWorkLiveness, get_scenario
 
@@ -126,7 +126,12 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     failed = 0
     for path in args.transcripts:
-        transcript = Transcript.load(path)
+        try:
+            transcript = Transcript.load(path)
+        except TranscriptFormatError as exc:
+            print(f"{path}: malformed transcript: {exc}")
+            failed += 1
+            continue
         problems = verify_transcript_invariants(transcript)
         status = "ok" if not problems else f"{len(problems)} problem(s)"
         print(f"{path}: {status}")

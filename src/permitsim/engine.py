@@ -18,6 +18,11 @@ at most once per receiver.  The genesis block is in every state from the
 start.  After each slot the configured confirmation rule is evaluated on
 every processor's state and change-points are recorded.
 
+``Execution`` holds one run's state and ``Execution.step`` runs one slot;
+``run_execution`` validates a config and steps it through every slot.  A
+strategy that simulates a private world steps an ``Execution`` of its own,
+so that world runs under the same rules.
+
 The transcript is the engine's complete, deterministic record: re-running
 a config with the same seed yields byte-identical serialized transcripts.
 """
@@ -28,7 +33,9 @@ import json
 from dataclasses import dataclass, field
 
 from .blocktree import BlockIndex, BlockSetView
-from .errors import ConfigError, ExecutionFault, SettingMismatchError
+from .errors import (ConfigError, DanglingBlockError, ExecutionFault,
+                     ScheduleViolationError, SettingMismatchError,
+                     TranscriptFormatError)
 from .messages import Message, PublicKey, genesis_block
 from .network import SynchronySchedule, TimingRule, build_timing_rule
 from .permitter import (PermitResponse, StakePermitter, WorkPermitter,
@@ -214,49 +221,87 @@ class Transcript:
 
     @classmethod
     def from_lines(cls, lines) -> "Transcript":
-        header = None
+        """Parse the serialized form; the header must be the first record.
+
+        Raises ``TranscriptFormatError`` naming the 1-based line of the
+        first problem: a line that is not a JSON record, a missing field, a
+        missing or misplaced header, a record after the end record, and an
+        end record that is missing or miscounts the broadcasts.
+        """
+        head = None
+        end = None
         broadcasts, deliveries, grants, confirmations = [], [], [], []
-        messages: list[tuple[int, str, Message]] = []
-        for line in lines:
+        lineno = 0
+        for lineno, line in enumerate(lines, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            kind = rec["type"]
-            if kind == "header":
-                header = rec
-            elif kind == "broadcast":
-                msg = Message.from_json(rec["msg"])
-                messages.append((rec["slot"], rec["proc"], msg))
-                broadcasts.append((rec["slot"], rec["proc"], msg.id))
-            elif kind == "delivery":
-                deliveries.append((rec["slot"], rec["proc"], rec["msg_id"]))
-            elif kind == "grant":
-                grants.append({k: v for k, v in rec.items() if k != "type"})
-            elif kind == "confirm":
-                confirmations.append((rec["slot"], rec["proc"], rec["tip"], rec["len"]))
-        if header is None:
-            raise ValueError("transcript has no header record")
-        timed = bool(header["config"]["timed"])
-        genesis = genesis_block(timed)
-        index = BlockIndex(genesis)
-        store = {genesis.id: genesis}
-        for _slot, _proc, msg in messages:
-            store[msg.id] = msg
-            if msg.is_block:
-                index.add(msg)
-        return cls(
-            label=header["label"], seed=header["seed"], header=header["config"],
-            genesis=genesis, index=index, store=store, broadcasts=broadcasts,
-            deliveries=deliveries, grants=grants, confirmations=confirmations,
-            duration=header["duration"], roster_ids=tuple(header["roster"]),
-            adversary_ids=tuple(header["adversaries"]),
-        )
+            try:
+                rec = json.loads(line)
+                kind = rec["type"]
+                if end is not None:
+                    raise TranscriptFormatError("record after the end record")
+                if (kind == "header") != (head is None):
+                    raise TranscriptFormatError(
+                        "a second header record" if head is not None else
+                        f"the first record is {kind!r}, not the header")
+                if kind == "header":
+                    genesis = genesis_block(bool(rec["config"]["timed"]))
+                    index = BlockIndex(genesis)
+                    store = {genesis.id: genesis}
+                    head = dict(
+                        label=rec["label"], seed=rec["seed"],
+                        header=rec["config"], duration=rec["duration"],
+                        roster_ids=tuple(rec["roster"]),
+                        adversary_ids=tuple(rec["adversaries"]))
+                elif kind == "broadcast":
+                    msg = Message.from_json(rec["msg"])
+                    store[msg.id] = msg
+                    if msg.is_block:
+                        index.add(msg)
+                    broadcasts.append((rec["slot"], rec["proc"], msg.id))
+                elif kind == "delivery":
+                    deliveries.append((rec["slot"], rec["proc"], rec["msg_id"]))
+                elif kind == "grant":
+                    grants.append({k: v for k, v in rec.items() if k != "type"})
+                elif kind == "confirm":
+                    confirmations.append(
+                        (rec["slot"], rec["proc"], rec["tip"], rec["len"]))
+                elif kind == "end":
+                    end = (lineno, rec["broadcasts"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise TranscriptFormatError(
+                    f"line {lineno}: {_format_problem(exc)}") from None
+        if head is None:
+            raise TranscriptFormatError(
+                f"line {lineno + 1}: the transcript ends without a header record")
+        if end is None:
+            raise TranscriptFormatError(
+                f"line {lineno + 1}: the transcript ends without an end record")
+        if end[1] != len(broadcasts):
+            raise TranscriptFormatError(
+                f"line {end[0]}: the end record counts {end[1]} broadcasts, "
+                f"the transcript holds {len(broadcasts)}")
+        return cls(genesis=genesis, index=index, store=store,
+                   broadcasts=broadcasts, deliveries=deliveries, grants=grants,
+                   confirmations=confirmations, **head)
 
     @classmethod
     def load(cls, path) -> "Transcript":
-        with open(path, "r", encoding="utf-8") as fh:
+        # bytes lines: a line that is not UTF-8 fails in json.loads, which
+        # names it, instead of in the file's decoder
+        with open(path, "rb") as fh:
             return cls.from_lines(fh)
+
+
+def _format_problem(exc: Exception) -> str:
+    if isinstance(exc, DanglingBlockError):
+        return f"block parent {exc.args[0]} is not broadcast before it"
+    if isinstance(exc, KeyError):
+        return f"the record has no field {exc}"
+    if isinstance(exc, json.JSONDecodeError):
+        return f"not valid JSON ({exc.msg})"
+    return str(exc)
 
 
 class _ProcessorRuntime:
@@ -304,45 +349,48 @@ def validate_broadcast(runtime: _ProcessorRuntime, msg: Message, slot: int) -> N
             pid, slot, f"block parent {str(msg.parent)[:12]} not in message state")
 
 
-def run_execution(config: ExecutionConfig) -> Transcript:
-    """Run one execution to completion and return its transcript."""
-    config.validate()
-    genesis = genesis_block(config.timed)
-    index = BlockIndex(genesis)
-    store: dict[str, Message] = {genesis.id: genesis}
+class Execution:
+    """The run state of one execution, advanced one slot at a time.
 
-    if isinstance(config.timing, TimingRule):
-        rule = config.timing
-    else:
-        rule = build_timing_rule(
-            dict(config.timing), schedule=config.schedule, delta=config.delta,
-            seed=config.seed, roster_ids=[p.id for p in config.processors])
+    Holds the message store, the block index, every processor's runtime,
+    the delivery queue and the transcript being written.  ``step(slot)``
+    runs one slot's receive, broadcast, request and confirmation phases
+    under the model's rules.  The config is taken as given: validating it
+    is the caller's job, as ``run_execution`` does.
+    """
 
-    roster = sorted(config.processors, key=lambda p: p.id)
-    runtimes: dict[str, _ProcessorRuntime] = {}
-    for spec in roster:
-        view = BlockSetView.fresh(index, genesis)
-        strategy = spec.strategy()
-        if not isinstance(strategy, Strategy):
-            raise ConfigError(f"strategy factory for {spec.id!r} returned "
-                              f"{type(strategy).__name__}")
-        tracker = config.confirmation.make_tracker(view)
-        rt = _ProcessorRuntime(spec, view, strategy, tracker)
-        rt.held.add(genesis.id)
-        runtimes[spec.id] = rt
+    def __init__(self, config: ExecutionConfig, rule: TimingRule, header: dict):
+        self.config = config
+        self.rule = rule
+        genesis = genesis_block(config.timed)
+        self.index = BlockIndex(genesis)
+        self.store: dict[str, Message] = {genesis.id: genesis}
+        self.roster = sorted(config.processors, key=lambda p: p.id)
+        self.runtimes: dict[str, _ProcessorRuntime] = {}
+        for spec in self.roster:
+            view = BlockSetView.fresh(self.index, genesis)
+            strategy = spec.strategy()
+            if not isinstance(strategy, Strategy):
+                raise ConfigError(f"strategy factory for {spec.id!r} returned "
+                                  f"{type(strategy).__name__}")
+            tracker = config.confirmation.make_tracker(view)
+            rt = _ProcessorRuntime(spec, view, strategy, tracker)
+            rt.held.add(genesis.id)
+            self.runtimes[spec.id] = rt
+        # slot -> (receiver, msg id) in queueing order
+        self.queue: dict[int, list[tuple[str, str]]] = {}
+        self.transcript = Transcript(
+            label=config.label, seed=config.seed, header=header,
+            genesis=genesis, index=self.index, store=self.store,
+            duration=config.duration,
+            roster_ids=tuple(p.id for p in self.roster),
+            adversary_ids=tuple(p.id for p in self.roster if p.adversary),
+        )
 
-    transcript = Transcript(
-        label=config.label, seed=config.seed,
-        header=_describe_config(config, rule), genesis=genesis, index=index,
-        store=store, duration=config.duration,
-        roster_ids=tuple(p.id for p in roster),
-        adversary_ids=tuple(p.id for p in roster if p.adversary),
-    )
-
-    queue: dict[int, list[tuple[str, str]]] = {}
-    budget_setting = config.permitter.setting
-
-    for slot in range(1, config.duration + 1):
+    def step(self, slot: int) -> None:
+        config, rule, store = self.config, self.rule, self.store
+        roster, runtimes, queue = self.roster, self.runtimes, self.queue
+        transcript = self.transcript
         contexts: dict[str, StepContext] = {}
 
         # -- receive phase ------------------------------------------------
@@ -394,11 +442,15 @@ def run_execution(config: ExecutionConfig) -> Transcript:
                     due = rule.delivery_slot(spec.id, other.id, msg.id, slot)
                     if due is None or due > config.duration:
                         continue
+                    if due <= slot:
+                        raise ScheduleViolationError(
+                            f"rule delivers {msg.id[:12]} to {other.id!r} at "
+                            f"slot {due}, not after its broadcast slot {slot}")
                     queue.setdefault(due, []).append((other.id, msg.id))
                     ort.held.add(msg.id)
 
             requests = rt.strategy.plan_requests(ctx)
-            problems = enforce_request_budget(requests, budget_setting)
+            problems = enforce_request_budget(requests, config.permitter.setting)
             if problems:
                 raise ExecutionFault(spec.id, slot, problems[0])
             for req in requests:
@@ -427,7 +479,20 @@ def run_execution(config: ExecutionConfig) -> Transcript:
                 transcript.confirmations.append(
                     (slot, spec.id, current[0], current[1]))
 
-    return transcript
+
+def run_execution(config: ExecutionConfig) -> Transcript:
+    """Run one execution to completion and return its transcript."""
+    config.validate()
+    if isinstance(config.timing, TimingRule):
+        rule = config.timing
+    else:
+        rule = build_timing_rule(
+            dict(config.timing), schedule=config.schedule, delta=config.delta,
+            seed=config.seed, roster_ids=[p.id for p in config.processors])
+    run = Execution(config, rule, _describe_config(config, rule))
+    for slot in range(1, config.duration + 1):
+        run.step(slot)
+    return run.transcript
 
 
 def _describe_config(config: ExecutionConfig, rule: TimingRule) -> dict:

@@ -29,6 +29,10 @@ class ScheduleViolationError(ValueError):
     """A timing rule is inconsistent with the synchrony schedule."""
 
 
+class TranscriptFormatError(ValueError):
+    """A serialized transcript is malformed; the message names the line."""
+
+
 class DanglingBlockError(KeyError):
     """A block's parent is absent from the set under inspection."""
 

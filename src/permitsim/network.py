@@ -297,32 +297,6 @@ def build_timing_rule(spec: dict, *, schedule: SynchronySchedule, delta: int,
     return rule
 
 
-def deliver_messages(slot: int, rule: TimingRule, broadcast_log, roster_ids):
-    """Per-processor message sets due at ``slot``.
-
-    ``broadcast_log`` yields (sender, msg_id, broadcast_slot) triples.
-    Broadcasters hold their own messages from the broadcast slot, so only
-    other processors appear here.  A rule answering with a delivery slot
-    not strictly after the broadcast slot is malformed.
-    """
-    due: dict[str, list[str]] = {pid: [] for pid in roster_ids}
-    for sender, msg_id, sent_at in broadcast_log:
-        for receiver in roster_ids:
-            if receiver == sender:
-                continue
-            d = rule.delivery_slot(sender, receiver, msg_id, sent_at)
-            if d is None:
-                continue
-            if d <= sent_at:
-                raise ScheduleViolationError(
-                    f"rule delivers {msg_id} to {receiver} at {d}, not after "
-                    f"its broadcast slot {sent_at}"
-                )
-            if d == slot:
-                due[receiver].append(msg_id)
-    return due
-
-
 @dataclass(frozen=True)
 class DeltaViolation:
     msg_id: str

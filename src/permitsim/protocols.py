@@ -154,27 +154,6 @@ class HonestStakeStrategy(Strategy):
 
 
 # ---------------------------------------------------------------------------
-# attachment
-# ---------------------------------------------------------------------------
-
-ATTACH_PREFIX = "attach:"
-
-
-def attachment_of(msg: Message) -> str | None:
-    """The block a message is attached to.
-
-    Blocks attach to themselves.  Payload messages may attach to a block
-    by convention through an ``attach:<block_id>`` payload prefix;
-    anything else is unattached.
-    """
-    if msg.is_block:
-        return msg.id
-    if msg.payload.startswith(ATTACH_PREFIX):
-        return msg.payload[len(ATTACH_PREFIX):]
-    return None
-
-
-# ---------------------------------------------------------------------------
 # confirmation rules
 # ---------------------------------------------------------------------------
 
@@ -298,6 +277,21 @@ class DensityCertificateRule(ConfirmationRule):
             return None
         return i if self.window(i) is not None else None
 
+    def admit(self, block_id: str, index: BlockIndex) -> tuple[int, str] | None:
+        """The (window index i, leaf) a block counts toward, or None.
+
+        The block's timestamp must fall inside window i, and the block must
+        hang off a chain of length i whose blocks all predate the window;
+        that chain's last block is the leaf.
+        """
+        i = self.window_of_timestamp(index.timestamp(block_id))
+        if i is None or index.height(block_id) < i - 1:
+            return None
+        leaf = index.ancestor_at_height(block_id, i - 1)
+        if index.max_timestamp_up_to_height(leaf, i - 1) >= i * self.spacing:
+            return None
+        return i, leaf
+
     # -- confirmation -------------------------------------------------------
 
     def find_witnesses(self, msg_ids, index: BlockIndex,
@@ -307,22 +301,15 @@ class DensityCertificateRule(ConfirmationRule):
         present = {m for m in msg_ids if m in index}
         counts: dict[tuple[int, str], int] = {}
         for b in present:
-            ts = index.timestamp(b)
-            if ts is None:
-                continue
-            i = self.window_of_timestamp(ts)
-            if i is None or index.height(b) < i - 1:
-                continue
-            leaf = index.ancestor_at_height(b, i - 1)
-            counts[(i, leaf)] = counts.get((i, leaf), 0) + 1
+            key = self.admit(b, index)
+            if key is not None:
+                counts[key] = counts.get(key, 0) + 1
         witnesses = []
         for (i, leaf), count in counts.items():
             if count < self.threshold:
                 continue
             if not complete_in(leaf, present, index):
                 continue  # the witness chain itself must lie in the set
-            if index.max_timestamp_up_to_height(leaf, i - 1) >= i * self.spacing:
-                continue  # chain blocks must predate the window
             witnesses.append(DensityWitness(
                 interval_index=i, interval=self.window(i), leaf=leaf,
                 chain_len=i, block_count=count, threshold=self.threshold,
@@ -330,11 +317,8 @@ class DensityCertificateRule(ConfirmationRule):
         return witnesses
 
     def confirm(self, msg_ids, index: BlockIndex) -> tuple[str, ...]:
-        best: DensityWitness | None = None
-        for w in self.find_witnesses(msg_ids, index):
-            if (best is None or w.chain_len > best.chain_len
-                    or (w.chain_len == best.chain_len and w.leaf < best.leaf)):
-                best = w
+        best = min(self.find_witnesses(msg_ids, index), default=None,
+                   key=lambda w: _witness_rank(w.chain_len, w.leaf))
         if best is None:
             return ()
         return index.ancestry(best.leaf)
@@ -348,6 +332,11 @@ class DensityCertificateRule(ConfirmationRule):
                 "duration": self.duration}
 
 
+def _witness_rank(chain_len: int, leaf: str) -> tuple[int, str]:
+    """Order of witnesses, best first: longer chains, then smaller leaf ids."""
+    return (-chain_len, leaf)
+
+
 class _DensityTracker:
     """Incremental witness counting over one growing view."""
 
@@ -358,19 +347,12 @@ class _DensityTracker:
         self.best: tuple[int, str] | None = None
 
     def on_block(self, block: Message) -> None:
-        index = self.view.index
-        ts = block.timestamp
-        i = self.rule.window_of_timestamp(ts) if ts is not None else None
-        if i is None or index.height(block.id) < i - 1:
+        key = self.rule.admit(block.id, self.view.index)
+        if key is None:
             return
-        leaf = index.ancestor_at_height(block.id, i - 1)
-        if index.max_timestamp_up_to_height(leaf, i - 1) >= i * self.rule.spacing:
-            return
-        key = (i, leaf)
         self.counts[key] = self.counts.get(key, 0) + 1
         if self.counts[key] >= self.rule.threshold:
-            if (self.best is None or i > self.best[0]
-                    or (i == self.best[0] and leaf < self.best[1])):
+            if self.best is None or _witness_rank(*key) < _witness_rank(*self.best):
                 self.best = key
 
     def current(self) -> tuple[str | None, int]:
@@ -378,15 +360,6 @@ class _DensityTracker:
             return (None, 0)
         i, leaf = self.best
         return (leaf, i)
-
-
-def confirm_k_deep(msg_ids, k: int, index: BlockIndex) -> tuple[str, ...]:
-    return KDeepRule(k).confirm(msg_ids, index)
-
-
-def confirm_density_certificate(msg_ids, rule: DensityCertificateRule,
-                                index: BlockIndex) -> tuple[str, ...]:
-    return rule.confirm(msg_ids, index)
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +373,12 @@ class ProductionProfile:
 
     ``rate`` is the per-slot leader rate; key counts bound the number of
     independent per-slot lotteries each side can hold (known here because
-    the stake pool is sized).  ``total`` is the scalar pool total for
-    constant pools, recorded for reporting.
+    the stake pool is sized).
     """
 
     rate: float
     honest_keys: int = 1
     adversary_keys: int = 1
-    total: Fraction = Fraction(1)
 
     def __post_init__(self):
         if not 0 < self.rate <= 1:

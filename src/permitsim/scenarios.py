@@ -370,8 +370,7 @@ class SimulationRelease(Scenario):
 
         released_at = attacker.released_at
         owners = {k.owner for g in self._maj_keys(params) for k in g}
-        coupling_ok = False
-        ledger_match = False
+        coupling_ok = ledger_match = None  # nothing to compare without a release
         if released_at is not None:
             coupling_ok = (
                 self._grant_trace(inner, owners, released_at)
@@ -393,12 +392,12 @@ class SimulationRelease(Scenario):
         }
 
     def aggregate(self, results, params):
+        released = [r for r in results if r["released_at"] is not None]
         return {
             "violation": _pass_rate([r["violation"] for r in results]),
-            "all_coupling_ok": all(r["coupling_ok"] for r in results),
-            "all_ledger_match": all(r["ledger_match"] for r in results),
-            "released": sum(1 for r in results
-                            if r["released_at"] is not None),
+            "all_coupling_ok": all(r["coupling_ok"] for r in released),
+            "all_ledger_match": all(r["ledger_match"] for r in released),
+            "released": len(released),
         }
 
 
@@ -532,8 +531,7 @@ class StakeDensityCertificates(Scenario):
 
     def plan(self, params):
         profile = ProductionProfile(
-            rate=params["rate"], honest_keys=1, adversary_keys=1,
-            total=params["honest_stake"] + params["adversary_stake"])
+            rate=params["rate"], honest_keys=1, adversary_keys=1)
         return build_certificate_recalibration(
             eps=params["eps"], theta_bound=params["theta_bound"],
             profile=profile, duration=params["duration"],

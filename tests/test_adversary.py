@@ -10,8 +10,8 @@ from permitsim.adversary import (PrivateForkStrategy,
                                  build_isolated_observer_instance)
 from permitsim.analysis import check_security
 from permitsim.engine import (ExecutionConfig, ProcessorSpec, run_execution)
-from permitsim.errors import ConfigError
-from permitsim.messages import PublicKey
+from permitsim.errors import ConfigError, ExecutionFault
+from permitsim.messages import PublicKey, make_block
 from permitsim.network import (PerEdgeRandomRule, SynchronySchedule,
                                UniformDelayRule)
 from permitsim.permitter import StakePermitter, WorkPermitter
@@ -267,6 +267,34 @@ class TestSimulationAttack:
         after = [g for g in transcript.grants
                  if g["proc"] == "omega" and g["slot"] > 300]
         assert after == []  # a released attacker goes quiet
+
+    def test_the_private_world_obeys_the_model(self):
+        _, attacked_cfg, _ = sim_pair(duration=60)
+        forging = [ProcessorSpec(id="alpha0", keys=(MAJ[0],),
+                                 strategy=_ForgeAtSlot3),
+                   inner_specs()[1]]
+        attacked_cfg.processors[-1] = ProcessorSpec(
+            id="omega", keys=MAJ,
+            strategy=lambda: SimulationAttackerStrategy(
+                inner_processors=forging,
+                inner_timing=UniformDelayRule(1, attacked_cfg.duration),
+                confirm_k=2, release=10**6),  # never releases
+            adversary=True)
+        with pytest.raises(ExecutionFault) as fault:
+            run_execution(attacked_cfg)
+        assert (fault.value.processor, fault.value.slot) == ("alpha0", 3)
+        assert "not permitted" in fault.value.clause
+
+
+class _ForgeAtSlot3(HonestWorkStrategy):
+    """Honest, except for one ungranted block broadcast at slot 3."""
+
+    def plan_broadcasts(self, ctx):
+        out = super().plan_broadcasts(ctx)
+        if ctx.slot == 3:
+            out.append(make_block(ctx.keys[0], parent=ctx.view.longest_tip,
+                                  payload="forged"))
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,36 @@ class TestValidate:
         assert code == 0
         assert out.count(": ok") == 2
 
+    @pytest.mark.parametrize("data,problem", [
+        (b'{"type":"header"', "line 1: not valid JSON"),
+        (b'{"type":"header"}\n', "line 1: the record has no field"),
+        (b'\n\xff\n', "line 2: 'utf-8' codec can't decode"),
+    ])
+    def test_malformed_record_is_named(self, capsys, tmp_path, data, problem):
+        path = tmp_path / "bad.transcript"
+        path.write_bytes(data)
+        code, out, _ = run_cli(capsys, "validate", str(path))
+        assert code == 1
+        assert f"{path}: malformed transcript: {problem}" in out
+
+    def test_cut_transcript_is_malformed(self, capsys, tmp_path):
+        _, path = self.save_run(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]))
+        code, out, _ = run_cli(capsys, "validate", str(path))
+        assert code == 1
+        assert (f"{path}: malformed transcript: line {len(lines)}: "
+                f"the transcript ends without an end record") in out
+
+    def test_a_malformed_file_does_not_stop_the_others(self, capsys, tmp_path):
+        _, good = self.save_run(tmp_path)
+        bad = tmp_path / "bad.transcript"
+        bad.write_text("")
+        code, out, _ = run_cli(capsys, "validate", str(bad), str(good))
+        assert code == 1
+        assert f"{bad}: malformed transcript" in out
+        assert f"{good}: ok" in out
+
 
 class TestCalibrate:
     def test_writes_a_loadable_table(self, capsys, tmp_path):

@@ -6,7 +6,8 @@ import pytest
 
 from permitsim.engine import (ExecutionConfig, ProcessorSpec, Transcript,
                               run_execution)
-from permitsim.errors import ConfigError, ExecutionFault, SettingMismatchError
+from permitsim.errors import (ConfigError, ExecutionFault, SettingMismatchError,
+                             TranscriptFormatError)
 from permitsim.messages import PublicKey, make_block
 from permitsim.network import SynchronySchedule
 from permitsim.permitter import PermitRequest, StakePermitter, WorkPermitter
@@ -36,6 +37,19 @@ class TestDeterminism:
         assert back.to_bytes() == t.to_bytes()
         assert back.roster_ids == t.roster_ids
         assert back.duration == t.duration
+
+    @pytest.mark.parametrize("cut,problem", [
+        (lambda ls: ls[:-1] + ['{"type":"end","broadcasts":0}'],
+         r"line \d+: the end record counts 0 broadcasts"),
+        (lambda ls: ls + [ls[1]], r"line \d+: record after the end record"),
+        (lambda ls: ls[1:], r"line 1: the first record is .*, not the header"),
+        (lambda ls: ls[:1] + [l for l in ls[1:] if '"broadcast"' in l][1:]
+         + ls[-1:], r"line 2: block parent \w+ is not broadcast before it"),
+    ])
+    def test_malformed_lines_are_refused(self, cut, problem):
+        lines = run_execution(work_config(duration=80)).to_lines()
+        with pytest.raises(TranscriptFormatError, match=problem):
+            Transcript.from_lines(cut(lines))
 
     def test_stake_lane_is_deterministic_too(self):
         a = run_execution(stake_config(duration=100))

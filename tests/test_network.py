@@ -2,12 +2,14 @@
 
 import pytest
 
+from permitsim.engine import run_execution
 from permitsim.errors import ConfigError, ScheduleViolationError
 from permitsim.network import (PARTIALLY_SYNCHRONOUS, CustomTableRule,
                                PartitionRule, PerEdgeRandomRule,
                                SynchronySchedule, UniformDelayRule,
-                               build_timing_rule, check_delta_conformance,
-                               deliver_messages)
+                               build_timing_rule, check_delta_conformance)
+
+from conftest import work_config
 
 
 def partial(duration, *intervals):
@@ -150,19 +152,15 @@ class TestBuildTimingRule:
 
 
 class TestDeliverMessages:
-    def test_collects_due_messages_per_receiver(self):
-        rule = UniformDelayRule(2, duration=10)
-        log = [("a", "m1", 1), ("b", "m2", 2)]
-        due = deliver_messages(3, rule, log, ["a", "b", "c"])
-        assert due == {"a": [], "b": ["m1"], "c": ["m1"]}
-
     def test_rule_may_not_deliver_at_broadcast_slot(self):
         class Instant(UniformDelayRule):
             def delivery_slot(self, *a):
                 return a[3]
 
-        with pytest.raises(ScheduleViolationError):
-            deliver_messages(1, Instant(1, 10), [("a", "m", 1)], ["a", "b"])
+        config = work_config(duration=60, rate=1)
+        config.timing = Instant(1, config.duration)
+        with pytest.raises(ScheduleViolationError, match="not after"):
+            run_execution(config)
 
 
 class TestDeltaConformance:

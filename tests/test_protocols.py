@@ -11,8 +11,8 @@ from permitsim.blocktree import BlockIndex, ancestors, longest_chain_tip
 from permitsim.errors import ConfigError
 from permitsim.messages import PublicKey, genesis_block, make_block
 from permitsim.protocols import (DensityCertificateRule, KDeepRule,
-                                 ProductionProfile, confirm_k_deep,
-                                 density_threshold, interval_length_r)
+                                 ProductionProfile, density_threshold,
+                                 interval_length_r)
 
 from conftest import build_chain
 
@@ -81,11 +81,6 @@ class TestKDeep:
     def test_negative_depth_rejected(self):
         with pytest.raises(ConfigError):
             KDeepRule(-1)
-
-    def test_functional_wrapper_agrees(self, index, genesis):
-        chain = build_chain(index, P, 6)
-        ids = [genesis.id] + [b.id for b in chain]
-        assert confirm_k_deep(ids, 2, index) == KDeepRule(2).confirm(ids, index)
 
 
 # ---------------------------------------------------------------------------

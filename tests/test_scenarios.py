@@ -93,6 +93,20 @@ class TestSimulationRelease:
         assert agg["released"] == 1
         assert agg["all_coupling_ok"] and agg["all_ledger_match"]
 
+    def test_a_missed_release_is_not_broken_coupling(self):
+        scenario, params, missed = run_one("simulation_release", seed=392,
+                                           margin=30)
+        assert missed["released_at"] is None
+        assert missed["coupling_ok"] is None
+        assert missed["ledger_match"] is None
+        agg = scenario.aggregate([missed], params)
+        assert agg["released"] == 0
+        assert agg["all_coupling_ok"] and agg["all_ledger_match"]
+        broken = dict(missed, released_at=5, coupling_ok=False,
+                      ledger_match=False)
+        agg = scenario.aggregate([missed, broken], params)
+        assert not agg["all_coupling_ok"] and not agg["all_ledger_match"]
+
 
 class TestIsolatedObservers:
     def test_observers_disagree_after_an_attack(self):

@@ -1,0 +1,88 @@
+"""Transcript-digest lock: the sha256 of fixed runs' transcript bytes.
+
+A run is a pure function of its config and seed, and its transcript is
+the product.  A refactor or a speed change must leave every byte of these
+transcripts as it is.  A change that alters them on purpose updates the
+table and says why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from permitsim.engine import run_execution
+from permitsim.scenarios import get_scenario
+
+from conftest import stake_config, work_config
+
+SEEDS = (1, 2)
+
+# case label -> (scenario, parameter overrides), small enough to run fast
+CASES = {
+    "honest": ("honest_work_liveness", {"duration": 300}),
+    "double_spend": ("work_double_spend", {"duration": 600}),
+    "simulation": ("simulation_release", {"duration": 500}),
+    # a deep private run: releases past slot 700
+    "simulation_deep": ("simulation_release", {"margin": 80, "maj_keys": 6}),
+    "observers": ("isolated_observers", {"duration": 600}),
+    # long enough for the density rule to confirm past genesis
+    "stake_density": ("stake_density_certificates", {"duration": 1000}),
+}
+
+SCENARIO_DIGESTS = {
+    ("honest", 1): {
+        "transcript_sha256": "30f58992f55afc74c27efa4bd889ec18a2fff5b03d63c19697c2e1833916070c"},
+    ("honest", 2): {
+        "transcript_sha256": "97399a9aa31ade3b20efa9e423573e80db7ddb8b4dc0716c2cabea6bb5d96de5"},
+    ("double_spend", 1): {
+        "transcript_sha256": "2ffa990c4735749e2c8bd6a85d41da0f9528be616cb1a017aafb22a41b0c5025"},
+    ("double_spend", 2): {
+        "transcript_sha256": "bacc57b865dff34649cfb33b8c32eaf4cad6ceded30422e3123594a990ddc2af"},
+    ("simulation", 1): {
+        "inner_sha256": "31d8b835f1877c2e1c05e439ffc789cc11b25bb318e7cf2211728f0a5ae11471",
+        "attacked_sha256": "47d2d7d4ec4ba31432c84c4fcf5a21d0e7d984bbce94df1b03c316c3be2581ef"},
+    ("simulation", 2): {
+        "inner_sha256": "2e06b8fb893465d828e63cafe074f08f1631ce90a9bc790350127963f7318878",
+        "attacked_sha256": "990d0014ba9dac14721a9cf8ead3bcbd426ed800fc581fd0ae8e4d26c40825d5"},
+    ("simulation_deep", 1): {
+        "inner_sha256": "335da9f7451fa6a83fa438f5cdc02cf3d787872b8a01d827b6060521991c7a87",
+        "attacked_sha256": "cc16295c9892bcce2671149ae3ee035130b8207c23a05001768adc7a0c13b320"},
+    ("simulation_deep", 2): {
+        "inner_sha256": "853c66f100f7c7f38611aaf85fbab7411a3c2766dfdc28b142ec4c01c14079b5",
+        "attacked_sha256": "ff100231e5019af2efc365b8d791db92e299be0fd1144bf90b23f3153813cb9d"},
+    ("observers", 1): {
+        "base_sha256": "2ffa990c4735749e2c8bd6a85d41da0f9528be616cb1a017aafb22a41b0c5025",
+        "extended_sha256": "35d12929e4cdea40f3634675c9e974e63b51a51db89a690d68392af9e2d62b06"},
+    ("observers", 2): {
+        "base_sha256": "bacc57b865dff34649cfb33b8c32eaf4cad6ceded30422e3123594a990ddc2af",
+        "extended_sha256": "e6ac1780d280415b681734796cf5b160e754bf08f6bf0be179ebb59fbd8318f7"},
+    ("stake_density", 1): {
+        "transcript_sha256": "fed0d508e30790d1a2a26cfa1e242f87cda3dc5aabf4792b481e29ba60c32ee3"},
+    ("stake_density", 2): {
+        "transcript_sha256": "b8cd192614bdeb1fc3dbf9517cdbc2aa1283c2a6d3db8439c323ef6b76465c03"},
+}
+
+CONFIG_DIGESTS = {
+    "work_config": "2c8b6c9df740384dce8e40abdef981f1a86386810e589bb8a01f85007f66eca2",
+    "stake_config": "2d4908654ce50e3ae456fcc521b87e4856cfffffb4ae336a0ee4f204e2a524f5",
+}
+
+
+def test_every_case_is_pinned_at_every_seed():
+    assert set(SCENARIO_DIGESTS) == {(c, s) for c in CASES for s in SEEDS}
+
+
+@pytest.mark.parametrize("case,seed", sorted(SCENARIO_DIGESTS))
+def test_scenario_transcripts_are_unchanged(case, seed):
+    name, overrides = CASES[case]
+    scenario = get_scenario(name)
+    row = scenario.run_trial(scenario.resolve_params(overrides), seed)
+    digests = {k: v for k, v in row.items() if k.endswith("_sha256")}
+    assert digests == SCENARIO_DIGESTS[(case, seed)]
+
+
+@pytest.mark.parametrize("build", [work_config, stake_config],
+                         ids=lambda b: b.__name__)
+def test_conftest_config_transcripts_are_unchanged(build):
+    data = run_execution(build()).to_bytes()
+    assert hashlib.sha256(data).hexdigest() == CONFIG_DIGESTS[build.__name__]

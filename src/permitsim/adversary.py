@@ -46,15 +46,6 @@ from .protocols import KDeepRule, ObserverStrategy, StepContext, Strategy
 # ---------------------------------------------------------------------------
 
 
-def _public_chain_view(view: BlockSetView) -> BlockSetView:
-    """A fresh view holding genesis and the longest chain of ``view``."""
-    genesis = view.messages[view.index.genesis_id]
-    fork = BlockSetView.fresh(view.index, genesis)
-    for bid in view.index.ancestry(view.longest_tip)[1:]:
-        fork.add(view.messages[bid])
-    return fork
-
-
 class PrivateForkStrategy(Strategy):
     """Withhold a fork until the public side confirms a victim block.
 
@@ -94,7 +85,7 @@ class PrivateForkStrategy(Strategy):
         self.releases = 0
 
     def _reset(self, ctx: StepContext) -> None:
-        self._fork = _public_chain_view(ctx.view)
+        self._fork = ctx.view.chain_view()
         self._base_len = self._fork.longest_length
         self._unreleased = []
         self.rounds += 1
@@ -164,7 +155,7 @@ class StakeWithholdStrategy(Strategy):
         self._withheld: list[Message] = []
 
     def _refork(self, ctx: StepContext) -> None:
-        self._fork = _public_chain_view(ctx.view)
+        self._fork = ctx.view.chain_view()
         self._withheld = []
 
     def on_receive(self, ctx: StepContext) -> None:

@@ -184,6 +184,15 @@ class BlockSetView:
     def fresh(cls, index: BlockIndex, genesis: Message) -> "BlockSetView":
         return cls(index=index, messages={genesis.id: genesis})
 
+    def chain_view(self) -> "BlockSetView":
+        """A fresh view holding genesis and the longest chain of this one."""
+        chain = self.index.ancestry(self._tip)
+        view = BlockSetView(index=self.index,
+                            messages={b: self.messages[b] for b in chain})
+        view.active.update(chain)
+        view._tip = self._tip
+        return view
+
     # -- contents ----------------------------------------------------------
 
     def __contains__(self, msg_id: str) -> bool:

@@ -38,8 +38,8 @@ from .errors import (ConfigError, DanglingBlockError, ExecutionFault,
                      TranscriptFormatError)
 from .messages import Message, PublicKey, genesis_block
 from .network import SynchronySchedule, TimingRule, build_timing_rule
-from .permitter import (PermitResponse, StakePermitter, WorkPermitter,
-                        enforce_request_budget)
+from .permitter import (LeaderGrant, PermitResponse, StakePermitter,
+                        WorkPermitter, enforce_request_budget)
 from .protocols import ConfirmationRule, StepContext, Strategy
 from .resource_pool import ResourcePool
 
@@ -315,7 +315,9 @@ class _ProcessorRuntime:
         self.tracker = tracker
         self.pending: list[PermitResponse] = []
         self.granted_ids: set[str] = set()
-        self.leader_grants: list = []
+        # (key, slot) -> the leader grant for it; only it can cover a block
+        # signed by that key with that timestamp
+        self.leader_grants: dict[tuple, LeaderGrant] = {}
         self.held: set[str] = set()  # msg ids held or already queued for delivery
         self.last_confirmed: tuple[str | None, int] | None = None
 
@@ -337,10 +339,11 @@ def validate_broadcast(runtime: _ProcessorRuntime, msg: Message, slot: int) -> N
             raise ExecutionFault(
                 pid, slot, f"embedded pair under {key.label()} was never "
                 f"signed or received")
+    grant = runtime.leader_grants.get((msg.signer, msg.timestamp))
     permitted = (
         msg.id in runtime.view.messages
         or msg.id in runtime.granted_ids
-        or any(lg.covers(msg) for lg in runtime.leader_grants)
+        or (grant is not None and grant.covers(msg))
     )
     if not permitted:
         raise ExecutionFault(pid, slot, f"message {msg.id[:12]} is not permitted")
@@ -410,7 +413,8 @@ class Execution:
             for resp in responses:
                 rt.granted_ids.update(m.id for m in resp.granted)
                 if resp.leader is not None:
-                    rt.leader_grants.append(resp.leader)
+                    lg = resp.leader
+                    rt.leader_grants[(lg.key, lg.slot)] = lg
             ctx = StepContext(
                 slot=slot, processor_id=spec.id, keys=spec.keys, view=rt.view,
                 responses=responses, delivered=tuple(delivered),

@@ -81,8 +81,13 @@ class Message:
         }
 
     def body_digest(self) -> str:
-        data = json.dumps(self.body_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(data.encode()).hexdigest()
+        cached = self.__dict__.get("_body_digest")
+        if cached is None:
+            data = json.dumps(self.body_json(), sort_keys=True,
+                              separators=(",", ":"))
+            cached = hashlib.sha256(data.encode()).hexdigest()
+            object.__setattr__(self, "_body_digest", cached)
+        return cached
 
     def _digest(self) -> str:
         body = self.body_json()

@@ -101,6 +101,11 @@ class PermitResponse:
         return not self.granted and self.leader is None
 
 
+def _below(draw: int, threshold: Fraction) -> bool:
+    """draw / 2**64 < threshold, in integer arithmetic."""
+    return draw * threshold.denominator < threshold.numerator * 2**64
+
+
 class WorkPermitter:
     """Per-request lottery proportional to the key's balance.
 
@@ -148,7 +153,7 @@ class WorkPermitter:
         threshold = min(Fraction(1), self.rate * balance / self._scale(pool, slot, view))
         draw = rng.substream_u64(seed, "work", key.owner, key.index, slot,
                                  request.m_digest, cand.id)
-        if Fraction(draw, 2**64) < threshold:
+        if _below(draw, threshold):
             return PermitResponse(key=key, granted=(cand,))
         return denied
 
@@ -194,7 +199,7 @@ class StakePermitter:
         total = pool.total(target, request.view)
         threshold = min(Fraction(1), self.rate * balance / total)
         draw = rng.substream_u64(seed, "stake", key.owner, key.index, target)
-        if Fraction(draw, 2**64) < threshold:
+        if _below(draw, threshold):
             return PermitResponse(
                 key=key, leader=LeaderGrant(key=key, slot=target), target_slot=target
             )

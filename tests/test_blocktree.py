@@ -122,6 +122,26 @@ class TestBlockSetView:
         v1.add(a[0])
         assert v1.digest != before
 
+    def test_chain_view_is_the_longest_chain_alone(self, view, index,
+                                                   genesis, fork):
+        a, b = fork
+        for blk in (*b, *a):
+            view.add(blk)
+        chain = view.chain_view()
+        built = BlockSetView.fresh(index, genesis)
+        for blk in a:
+            built.add(blk)
+        assert chain.ids() == built.ids() == {genesis.id, *(x.id for x in a)}
+        assert chain.active == built.active
+        assert chain.digest == built.digest
+        assert chain.seen_pairs == built.seen_pairs
+        assert chain.longest_tip == a[2].id
+        # the copy grows on its own
+        extra = make_block(P, a[2].id, payload="x")
+        chain.add(extra)
+        assert chain.longest_tip == extra.id
+        assert extra.id not in view
+
 
 @st.composite
 def tree_orders(draw):

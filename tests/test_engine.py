@@ -8,11 +8,11 @@ from permitsim.engine import (ExecutionConfig, ProcessorSpec, Transcript,
                               run_execution)
 from permitsim.errors import (ConfigError, ExecutionFault, SettingMismatchError,
                              TranscriptFormatError)
-from permitsim.messages import PublicKey, make_block
+from permitsim.messages import PAYLOAD, Message, PublicKey, make_block
 from permitsim.network import SynchronySchedule
 from permitsim.permitter import PermitRequest, StakePermitter, WorkPermitter
-from permitsim.protocols import (HonestWorkStrategy, KDeepRule,
-                                 ObserverStrategy, Strategy)
+from permitsim.protocols import (HonestStakeStrategy, HonestWorkStrategy,
+                                 KDeepRule, ObserverStrategy, Strategy)
 from permitsim.resource_pool import SIZED, ConstantBalancePool
 
 from conftest import stake_config, work_config
@@ -209,6 +209,27 @@ class _UnownedKeyRequestStrategy(Strategy):
         return [PermitRequest(foreign, ctx.view, candidate=cand)]
 
 
+class _MisstampedLeaderStrategy(HonestStakeStrategy):
+    """Stamps its leader block with a slot past the end of the run."""
+
+    def plan_broadcasts(self, ctx):
+        keys = self._leaderships.pop(ctx.slot, None)
+        if not keys:
+            return []
+        return [make_block(min(keys), parent=ctx.view.longest_tip,
+                           timestamp=ctx.duration + ctx.slot)]
+
+
+class _LeaderPayloadStrategy(HonestStakeStrategy):
+    """Spends a leadership on a payload message instead of a block."""
+
+    def plan_broadcasts(self, ctx):
+        keys = self._leaderships.pop(ctx.slot, None)
+        if not keys:
+            return []
+        return [Message(signer=min(keys), kind=PAYLOAD, timestamp=ctx.slot)]
+
+
 def _single_swap_config(strategy_cls):
     cfg = work_config(duration=10)
     first = cfg.processors[0]
@@ -235,6 +256,21 @@ class TestFaults:
     def test_request_under_unowned_key_faults(self):
         with pytest.raises(ExecutionFault, match="unowned key"):
             run_execution(_single_swap_config(_UnownedKeyRequestStrategy))
+
+    @pytest.mark.parametrize("strategy_cls", [_MisstampedLeaderStrategy,
+                                              _LeaderPayloadStrategy])
+    def test_leader_grant_covers_only_its_slot_and_blocks(self, strategy_cls):
+        honest = run_execution(stake_config(duration=60))
+        cfg = stake_config(duration=60)
+        cfg.processors = [ProcessorSpec(
+            id=p.id, keys=p.keys,
+            strategy=lambda: strategy_cls(lookahead=cfg.permitter.lookahead))
+            for p in cfg.processors]
+        with pytest.raises(ExecutionFault, match="not permitted") as exc:
+            run_execution(cfg)
+        # the same draws: the first leadership is spent at the honest run's
+        # first broadcast slot
+        assert exc.value.slot == honest.broadcasts[0][0]
 
     def test_fault_names_the_culprit(self):
         cfg = _single_swap_config(_ForgedBlockStrategy)

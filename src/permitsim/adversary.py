@@ -355,6 +355,9 @@ def build_isolated_observer_instance(base_config: ExecutionConfig,
             roster_ids=[p.id for p in base_config.processors])
 
     known = set(base_transcript.store)
+    first_sent: dict[str, int] = {}
+    for slot, _sender, mid in base_transcript.broadcasts:
+        first_sent.setdefault(mid, slot)
     taken = {p.id for p in base_config.processors}
     entries: dict[tuple[str, str], int | None] = {}
     observers: list[ProcessorSpec] = []
@@ -368,7 +371,7 @@ def build_isolated_observer_instance(base_config: ExecutionConfig,
         for mid in msg_ids:
             if mid not in known:
                 raise ConfigError(f"message {mid!r} is not in the base ledger")
-            sent = base_transcript.broadcast_slot(mid)
+            sent = first_sent.get(mid)
             if sent is not None and sent >= deliver_slot:
                 raise ConfigError(
                     f"message {mid!r} is broadcast at slot {sent}, too late "

@@ -520,7 +520,7 @@ def build_certificate_recalibration(eps: float, theta_bound,
         raise ConfigError("base liveness parameter must be at least 1")
     eps_prime = eps / 4
     r = interval_length_r(theta_bound, eps_prime, profile, duration)
-    theta = density_threshold(theta_bound, eps_prime, profile, r, duration)
+    theta = density_threshold(theta_bound, profile, r)
     spacing = base_ell + r
     rule = DensityCertificateRule(spacing=spacing, interval_len=r,
                                   threshold=theta, duration=duration)

@@ -11,10 +11,11 @@ so far.  It caches each block's ancestry as a tuple, which makes
 ancestor-at-height lookups, compatibility checks and confirmed-prefix
 extraction O(1) after the first touch.
 
-``BlockSetView`` is one processor's message state: all messages received
-or self-broadcast, plus genesis.  Blocks whose parents have not arrived
-yet are buffered as *dangling* and activate once their ancestry
-completes; only active blocks anchor chains.
+``BlockSetView`` is a message set (genesis plus the messages added to
+it) with its active blocks, longest tip and digest; what a processor
+holds is recorded by the engine, not by a view.  Blocks whose parents
+have not arrived yet are buffered as *dangling* and activate once their
+ancestry completes; only active blocks anchor chains.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DanglingBlockError
-from .messages import BLOCK, Message
+from .messages import Message
 
 
 class BlockIndex:
@@ -149,17 +150,16 @@ def is_chain(block_ids, index: BlockIndex) -> bool:
     return set(ids) == set(index.ancestry(next(iter(tips))))
 
 
-# -- per-processor message state ---------------------------------------------
+# -- message sets -------------------------------------------------------------
 
 
 @dataclass
 class BlockSetView:
-    """One message state: received/broadcast messages plus genesis.
+    """One message set: genesis plus the messages added to it.
 
     Tracks which blocks are *active* (complete ancestry present) and the
-    longest active chain tip, maintains a rolling XOR digest so permit
-    requests can name the state compactly, and remembers every
-    (signer, body-digest) pair seen for the embedding validity check.
+    longest active chain tip, and maintains a rolling XOR digest so permit
+    requests can name the set compactly.
     """
 
     index: BlockIndex
@@ -168,7 +168,6 @@ class BlockSetView:
     _dangling_by_parent: dict[str, list[str]] = field(default_factory=dict)
     _tip: str = ""
     _digest: int = 0
-    seen_pairs: set[tuple[str, str]] = field(default_factory=set)
 
     def __post_init__(self):
         gid = self.index.genesis_id
@@ -176,9 +175,8 @@ class BlockSetView:
             raise ValueError("views must be seeded with the genesis message")
         self.active.add(gid)
         self._tip = gid
-        for m in self.messages.values():
-            self._note_pairs(m)
-            self._digest ^= _id_bits(m.id)
+        for mid in self.messages:
+            self._digest ^= _id_bits(mid)
 
     @classmethod
     def fresh(cls, index: BlockIndex, genesis: Message) -> "BlockSetView":
@@ -198,9 +196,6 @@ class BlockSetView:
     def __contains__(self, msg_id: str) -> bool:
         return msg_id in self.messages
 
-    def __len__(self) -> int:
-        return len(self.messages)
-
     @property
     def digest(self) -> int:
         """Order-independent digest of the current message set."""
@@ -219,14 +214,6 @@ class BlockSetView:
     def ids(self) -> set[str]:
         return set(self.messages)
 
-    def block_ids(self) -> set[str]:
-        return {i for i, m in self.messages.items() if m.is_block}
-
-    def has_pair(self, pair: tuple) -> bool:
-        signer, digest = pair
-        label = signer.label() if signer is not None else ""
-        return (label, digest) in self.seen_pairs
-
     # -- updates -----------------------------------------------------------
 
     def add(self, msg: Message) -> list[str]:
@@ -240,7 +227,6 @@ class BlockSetView:
             return []
         self.messages[msg.id] = msg
         self._digest ^= _id_bits(msg.id)
-        self._note_pairs(msg)
         if msg.is_block:
             self.index.add(msg)  # no-op when already registered
             if msg.parent in self.active:
@@ -262,12 +248,6 @@ class BlockSetView:
                 self._tip = b
             queue.extend(self._dangling_by_parent.pop(b, ()))
         return activated
-
-    def _note_pairs(self, msg: Message) -> None:
-        signer, digest = msg.pair()
-        self.seen_pairs.add((signer.label() if signer else "", digest))
-        for key, d in msg.embedded:
-            self.seen_pairs.add((key.label(), d))
 
 
 def _id_bits(msg_id: str) -> int:

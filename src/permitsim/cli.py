@@ -132,6 +132,10 @@ def _cmd_validate(args) -> int:
             print(f"{path}: malformed transcript: {exc}")
             failed += 1
             continue
+        except OSError as exc:
+            print(f"{path}: cannot read: {exc.strerror or exc}")
+            failed += 1
+            continue
         problems = verify_transcript_invariants(transcript)
         status = "ok" if not problems else f"{len(problems)} problem(s)"
         print(f"{path}: {status}")

@@ -18,6 +18,11 @@ at most once per receiver.  The genesis block is in every state from the
 start.  After each slot the configured confirmation rule is evaluated on
 every processor's state and change-points are recorded.
 
+The engine alone records what each processor holds (message ids, with the
+slot they are held from, and the (signer, body digest) pairs they carry)
+and keeps one inbox of queued deliveries per processor.  The view a
+strategy reads mirrors the held messages; writing into it grants nothing.
+
 ``Execution`` holds one run's state and ``Execution.step`` runs one slot;
 ``run_execution`` validates a config and steps it through every slot.  A
 strategy that simulates a private world steps an ``Execution`` of its own,
@@ -174,12 +179,12 @@ class Transcript:
         return out
 
     def delivery_map(self) -> dict[tuple[str, str], int]:
-        """(receiver, msg_id) -> slot of first receipt, self-holds included."""
+        """(receiver, msg_id) -> earliest slot the receiver held the message:
+        its delivery or its own broadcast, whichever came first."""
         held: dict[tuple[str, str], int] = {}
-        for slot, sender, mid in self.broadcasts:
-            held.setdefault((sender, mid), slot)
-        for slot, receiver, mid in self.deliveries:
-            held.setdefault((receiver, mid), slot)
+        for slot, proc, mid in (*self.broadcasts, *self.deliveries):
+            if held.get((proc, mid), slot) >= slot:
+                held[(proc, mid)] = slot
         return held
 
     # -- serialization --------------------------------------------------------
@@ -308,7 +313,7 @@ class _ProcessorRuntime:
     """Engine-side mutable state for one processor."""
 
     def __init__(self, spec: ProcessorSpec, view: BlockSetView, strategy: Strategy,
-                 tracker):
+                 tracker, genesis: Message):
         self.spec = spec
         self.view = view
         self.strategy = strategy
@@ -318,8 +323,20 @@ class _ProcessorRuntime:
         # (key, slot) -> the leader grant for it; only it can cover a block
         # signed by that key with that timestamp
         self.leader_grants: dict[tuple, LeaderGrant] = {}
-        self.held: set[str] = set()  # msg ids held or already queued for delivery
+        # msg id -> slot held from: own broadcast, queued delivery's due slot
+        self.held: dict[str, int] = {genesis.id: 0}
+        # (signer, body digest) of every held message and every pair it embeds
+        self.pairs: set[tuple[PublicKey, str]] = set()
+        self.inbox: dict[int, list[str]] = {}  # due slot -> ids, in queueing order
         self.last_confirmed: tuple[str | None, int] | None = None
+
+    def hold(self, msg: Message, slot: int) -> None:
+        """Take a delivered or self-broadcast message into the state."""
+        self.held[msg.id] = min(self.held.get(msg.id, slot), slot)
+        self.pairs.add(msg.pair())
+        self.pairs.update(msg.embedded)
+        for activated in self.view.add(msg):
+            self.tracker.on_block(self.view.messages[activated])
 
 
 def validate_broadcast(runtime: _ProcessorRuntime, msg: Message, slot: int) -> None:
@@ -328,26 +345,27 @@ def validate_broadcast(runtime: _ProcessorRuntime, msg: Message, slot: int) -> N
     if msg.signer is None:
         raise ExecutionFault(pid, slot, "broadcast message lacks a signer")
     own = msg.signer.owner in runtime.spec.groups
-    if not own and not runtime.view.has_pair(msg.pair()):
+    if not own and msg.pair() not in runtime.pairs:
         raise ExecutionFault(
             pid, slot, f"message signed by unowned key {msg.signer.label()} "
             f"was never received")
     for key, digest in msg.embedded:
         if key.owner in runtime.spec.groups:
             continue
-        if not runtime.view.has_pair((key, digest)):
+        if (key, digest) not in runtime.pairs:
             raise ExecutionFault(
                 pid, slot, f"embedded pair under {key.label()} was never "
                 f"signed or received")
+    held = runtime.held
     grant = runtime.leader_grants.get((msg.signer, msg.timestamp))
     permitted = (
-        msg.id in runtime.view.messages
+        held.get(msg.id, slot + 1) <= slot
         or msg.id in runtime.granted_ids
         or (grant is not None and grant.covers(msg))
     )
     if not permitted:
         raise ExecutionFault(pid, slot, f"message {msg.id[:12]} is not permitted")
-    if msg.is_block and msg.parent not in runtime.view.messages:
+    if msg.is_block and held.get(msg.parent, slot + 1) > slot:
         raise ExecutionFault(
             pid, slot, f"block parent {str(msg.parent)[:12]} not in message state")
 
@@ -355,11 +373,11 @@ def validate_broadcast(runtime: _ProcessorRuntime, msg: Message, slot: int) -> N
 class Execution:
     """The run state of one execution, advanced one slot at a time.
 
-    Holds the message store, the block index, every processor's runtime,
-    the delivery queue and the transcript being written.  ``step(slot)``
-    runs one slot's receive, broadcast, request and confirmation phases
-    under the model's rules.  The config is taken as given: validating it
-    is the caller's job, as ``run_execution`` does.
+    Holds the message store, the block index, every processor's runtime
+    (with its inbox of queued deliveries) and the transcript being written.
+    ``step(slot)`` runs one slot's receive, broadcast, request and
+    confirmation phases under the model's rules.  The config is taken as
+    given: validating it is the caller's job, as ``run_execution`` does.
     """
 
     def __init__(self, config: ExecutionConfig, rule: TimingRule, header: dict):
@@ -377,11 +395,8 @@ class Execution:
                 raise ConfigError(f"strategy factory for {spec.id!r} returned "
                                   f"{type(strategy).__name__}")
             tracker = config.confirmation.make_tracker(view)
-            rt = _ProcessorRuntime(spec, view, strategy, tracker)
-            rt.held.add(genesis.id)
-            self.runtimes[spec.id] = rt
-        # slot -> (receiver, msg id) in queueing order
-        self.queue: dict[int, list[tuple[str, str]]] = {}
+            self.runtimes[spec.id] = _ProcessorRuntime(spec, view, strategy,
+                                                       tracker, genesis)
         self.transcript = Transcript(
             label=config.label, seed=config.seed, header=header,
             genesis=genesis, index=self.index, store=self.store,
@@ -392,7 +407,7 @@ class Execution:
 
     def step(self, slot: int) -> None:
         config, rule, store = self.config, self.rule, self.store
-        roster, runtimes, queue = self.roster, self.runtimes, self.queue
+        roster, runtimes = self.roster, self.runtimes
         transcript = self.transcript
         contexts: dict[str, StepContext] = {}
 
@@ -400,14 +415,11 @@ class Execution:
         for spec in roster:
             rt = runtimes[spec.id]
             delivered: list[Message] = []
-            for receiver, mid in queue.get(slot, ()):  # queued in order
-                if receiver != spec.id:
-                    continue
+            for mid in rt.inbox.pop(slot, ()):
                 msg = store[mid]
                 transcript.deliveries.append((slot, spec.id, mid))
                 delivered.append(msg)
-                for activated in rt.view.add(msg):
-                    rt.tracker.on_block(store[activated])
+                rt.hold(msg, slot)
             responses = tuple(rt.pending)
             rt.pending = []
             for resp in responses:
@@ -423,7 +435,6 @@ class Execution:
             )
             contexts[spec.id] = ctx
             rt.strategy.on_receive(ctx)
-        queue.pop(slot, None)
 
         # -- broadcast + request phase --------------------------------------
         for spec in roster:
@@ -434,9 +445,7 @@ class Execution:
                 validate_broadcast(rt, msg, slot)
                 store.setdefault(msg.id, msg)
                 transcript.broadcasts.append((slot, spec.id, msg.id))
-                for activated in rt.view.add(msg):
-                    rt.tracker.on_block(store[activated])
-                rt.held.add(msg.id)
+                rt.hold(msg, slot)
                 for other in roster:
                     if other.id == spec.id:
                         continue
@@ -450,8 +459,8 @@ class Execution:
                         raise ScheduleViolationError(
                             f"rule delivers {msg.id[:12]} to {other.id!r} at "
                             f"slot {due}, not after its broadcast slot {slot}")
-                    queue.setdefault(due, []).append((other.id, msg.id))
-                    ort.held.add(msg.id)
+                    ort.inbox.setdefault(due, []).append(msg.id)
+                    ort.held[msg.id] = due
 
             requests = rt.strategy.plan_requests(ctx)
             problems = enforce_request_budget(requests, config.permitter.setting)

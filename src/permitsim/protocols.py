@@ -294,9 +294,7 @@ class DensityCertificateRule(ConfirmationRule):
 
     # -- confirmation -------------------------------------------------------
 
-    def find_witnesses(self, msg_ids, index: BlockIndex,
-                       messages: dict[str, Message] | None = None
-                       ) -> list[DensityWitness]:
+    def find_witnesses(self, msg_ids, index: BlockIndex) -> list[DensityWitness]:
         """All witnesses present inside the message set."""
         present = {m for m in msg_ids if m in index}
         counts: dict[tuple[int, str], int] = {}
@@ -403,8 +401,8 @@ class ProductionProfile:
         return self.rate * float(a) * interval_len
 
 
-def density_threshold(theta_bound, eps_prime: float, profile: ProductionProfile,
-                      interval_len: int, duration: int) -> float:
+def density_threshold(theta_bound, profile: ProductionProfile,
+                      interval_len: int) -> float:
     """Block-count threshold separating honest from adversary production.
 
     The midpoint between the worst-case expected block counts of the two

@@ -157,6 +157,15 @@ class TestValidate:
         assert f"{bad}: malformed transcript" in out
         assert f"{good}: ok" in out
 
+    def test_an_unreadable_path_does_not_stop_the_others(self, capsys,
+                                                         tmp_path):
+        _, good = self.save_run(tmp_path)
+        missing = tmp_path / "missing.transcript"
+        code, out, _ = run_cli(capsys, "validate", str(missing), str(good))
+        assert code == 1
+        assert f"{missing}: cannot read: No such file or directory" in out
+        assert f"{good}: ok" in out
+
 
 class TestCalibrate:
     def test_writes_a_loadable_table(self, capsys, tmp_path):

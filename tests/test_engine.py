@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from permitsim.analysis import verify_transcript_invariants
 from permitsim.engine import (ExecutionConfig, ProcessorSpec, Transcript,
                               run_execution)
 from permitsim.errors import (ConfigError, ExecutionFault, SettingMismatchError,
@@ -193,6 +194,69 @@ class _UnownedSignerStrategy(Strategy):
         return []
 
 
+class _EmbedUnreceivedStrategy(Strategy):
+    """Vouches in its own block for a pair it never signed or received."""
+
+    def plan_broadcasts(self, ctx):
+        if ctx.slot == 3:
+            pair = (PublicKey("p1", 0), "0" * 64)
+            return [make_block(ctx.keys[0], ctx.view.longest_tip,
+                               payload="x", embedded=(pair,))]
+        return []
+
+
+class _EmbedReceivedStrategy(HonestWorkStrategy):
+    """Mines honestly, vouching in each candidate for the last message it
+    was delivered."""
+
+    def __init__(self):
+        super().__init__()
+        self._vouch = ()
+
+    def on_receive(self, ctx):
+        super().on_receive(ctx)
+        if ctx.delivered:
+            self._vouch = (ctx.delivered[-1].pair(),)
+
+    def plan_requests(self, ctx):
+        return [PermitRequest(key=key, view=ctx.view, candidate=make_block(
+                    key, parent=ctx.view.longest_tip, embedded=self._vouch))
+                for key in ctx.keys]
+
+
+class _ViewWriteStrategy(Strategy):
+    """Writes a block of its own making into its view, then broadcasts it
+    as if it held it."""
+
+    signer = None  # None: its own key
+
+    def plan_broadcasts(self, ctx):
+        if ctx.slot == 3:
+            block = make_block(self.signer or ctx.keys[0],
+                               ctx.view.longest_tip, payload="written")
+            ctx.view.add(block)
+            return [block]
+        return []
+
+
+class _ViewWriteUnownedStrategy(_ViewWriteStrategy):
+    signer = PublicKey("p1", 0)
+
+
+class _RelayStrategy(Strategy):
+    """Rebroadcasts every delivered message two slots after it arrived."""
+
+    def __init__(self):
+        self._due: dict[int, list[Message]] = {}
+
+    def on_receive(self, ctx):
+        if ctx.delivered:
+            self._due.setdefault(ctx.slot + 2, []).extend(ctx.delivered)
+
+    def plan_broadcasts(self, ctx):
+        return self._due.pop(ctx.slot, [])
+
+
 class _GreedyRequestStrategy(Strategy):
     """Files two single-budget requests for the same key in one slot."""
 
@@ -249,6 +313,39 @@ class TestFaults:
         with pytest.raises(ExecutionFault, match="unowned key"):
             run_execution(_single_swap_config(_UnownedSignerStrategy))
 
+    @pytest.mark.parametrize("strategy_cls,problem", [
+        (_UnownedSignerStrategy,
+         "signed by unowned key p1/0 was never received"),
+        (_EmbedUnreceivedStrategy,
+         "embedded pair under p1/0 was never signed or received"),
+    ])
+    def test_a_foreign_pair_must_have_been_received(self, strategy_cls,
+                                                    problem):
+        with pytest.raises(ExecutionFault, match=problem) as exc:
+            run_execution(_single_swap_config(strategy_cls))
+        assert exc.value.slot == 3
+
+    def test_embedding_a_received_pair_is_accepted(self):
+        cfg = work_config(duration=60)
+        cfg.processors = [ProcessorSpec(id=p.id, keys=p.keys,
+                                        strategy=_EmbedReceivedStrategy)
+                          for p in cfg.processors]
+        t = run_execution(cfg)
+        vouching = [t.store[mid] for _, _, mid in t.broadcasts
+                    if t.store[mid].embedded]
+        assert vouching
+        assert all(key.owner != msg.signer.owner
+                   for msg in vouching for key, _ in msg.embedded)
+
+    @pytest.mark.parametrize("strategy_cls,problem", [
+        (_ViewWriteStrategy, "not permitted"),
+        (_ViewWriteUnownedStrategy, "unowned key p1/0 was never received"),
+    ])
+    def test_writing_into_the_view_grants_nothing(self, strategy_cls, problem):
+        with pytest.raises(ExecutionFault, match=problem) as exc:
+            run_execution(_single_swap_config(strategy_cls))
+        assert exc.value.slot == 3
+
     def test_single_budget_allows_one_request_per_key(self):
         with pytest.raises(ExecutionFault, match="two requests"):
             run_execution(_single_swap_config(_GreedyRequestStrategy))
@@ -294,3 +391,16 @@ class TestObservers:
         t = run_execution(work_config(duration=150, extra_specs=(watcher,)))
         final = {p: t.confirmed_series(p)[-1][1] for p in t.roster_ids}
         assert max(final.values()) - final["watch"] <= 1
+
+    def test_relayed_messages_keep_their_delivery_slot(self):
+        relay = ProcessorSpec(id="relay", keys=(), strategy=_RelayStrategy)
+        t = run_execution(work_config(duration=60, rate=1,
+                                      extra_specs=(relay,)))
+        relayed = {mid: slot for slot, proc, mid in t.broadcasts
+                   if proc == "relay"}
+        assert relayed
+        dm = t.delivery_map()
+        for slot, receiver, mid in t.deliveries:
+            if receiver == "relay" and mid in relayed:
+                assert dm[("relay", mid)] == slot == relayed[mid] - 2
+        assert verify_transcript_invariants(t) == []

@@ -176,12 +176,12 @@ class TestDensityArithmetic:
         profile = ProductionProfile(rate=0.5)
         assert profile.expected_honest(1.5, 400) == pytest.approx(120.0)
         assert profile.expected_adversary(1.5, 400) == pytest.approx(80.0)
-        theta = density_threshold(1.5, 0.05, profile, 400, 10_000)
+        theta = density_threshold(1.5, profile, 400)
         assert theta == pytest.approx(100.0)
 
     def test_threshold_is_midpoint_of_rate(self):
         profile = ProductionProfile(rate=1.0)
-        assert density_threshold(2.0, 0.1, profile, 300, 5000) == \
+        assert density_threshold(2.0, profile, 300) == \
             pytest.approx(150.0)
 
     def test_shares_at_the_domination_boundary(self):
@@ -192,7 +192,7 @@ class TestDensityArithmetic:
 
     def test_domination_bound_must_exceed_one(self):
         with pytest.raises(ConfigError):
-            density_threshold(1.0, 0.1, ProductionProfile(rate=1.0), 10, 100)
+            density_threshold(1.0, ProductionProfile(rate=1.0), 10)
 
     def test_interval_length_matches_linear_scan_oracle(self):
         # frozen from an independent linear scan of the tail bound

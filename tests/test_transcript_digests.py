@@ -7,10 +7,12 @@ table and says why in CHANGES.md.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
 from permitsim.engine import run_execution
+from permitsim.network import PARTIALLY_SYNCHRONOUS, SynchronySchedule
 from permitsim.scenarios import get_scenario
 
 from conftest import stake_config, work_config
@@ -62,9 +64,36 @@ SCENARIO_DIGESTS = {
         "transcript_sha256": "b8cd192614bdeb1fc3dbf9517cdbc2aa1283c2a6d3db8439c323ef6b76465c03"},
 }
 
+
+# beyond the conftest configs: partitioned traffic and a wide roster with
+# random delays, where many deliveries share a receiver and a due slot
+def partitioned_config():
+    """Four miners split in two groups by a partition parked inside the
+    one asynchronous stretch; cross-group traffic waits for its end."""
+    cfg = work_config(duration=300, processors=4, rate=Fraction(1, 3),
+                      label="partitioned")
+    cfg.schedule = SynchronySchedule(duration=300,
+                                     setting=PARTIALLY_SYNCHRONOUS,
+                                     async_intervals=((75, 110),))
+    cfg.timing = {"policy": "partition", "interval": [75, 110],
+                  "groups": [["p0", "p1"], ["p2", "p3"]],
+                  "base": {"policy": "uniform_delay", "delay": 2}}
+    return cfg
+
+
+def wide_random_config():
+    """Twelve miners with a random delay on every edge."""
+    cfg = work_config(duration=300, processors=12, rate=Fraction(1, 3),
+                      label="wide-random")
+    cfg.timing = {"policy": "per_edge_random", "max_delay": 2}
+    return cfg
+
+
 CONFIG_DIGESTS = {
     "work_config": "2c8b6c9df740384dce8e40abdef981f1a86386810e589bb8a01f85007f66eca2",
     "stake_config": "2d4908654ce50e3ae456fcc521b87e4856cfffffb4ae336a0ee4f204e2a524f5",
+    "partitioned_config": "906b922725eb6b179994fae20bf284cf8bd3133b434559411bcc6468e40b5a0f",
+    "wide_random_config": "d553e2bb4f98a249ce7aa39b6f302b52227d8e96d4bd333e97e05dc6a2418b79",
 }
 
 
@@ -81,7 +110,8 @@ def test_scenario_transcripts_are_unchanged(case, seed):
     assert digests == SCENARIO_DIGESTS[(case, seed)]
 
 
-@pytest.mark.parametrize("build", [work_config, stake_config],
+@pytest.mark.parametrize("build", [work_config, stake_config,
+                                   partitioned_config, wide_random_config],
                          ids=lambda b: b.__name__)
 def test_conftest_config_transcripts_are_unchanged(build):
     data = run_execution(build()).to_bytes()

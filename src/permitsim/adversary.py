@@ -39,7 +39,8 @@ from .network import (CustomTableRule, SynchronySchedule, TimingRule,
                       build_timing_rule)
 from .permitter import (MULTI, SINGLE, PermitRequest, PermitResponse,
                         PermitterSetting)
-from .protocols import KDeepRule, ObserverStrategy, StepContext, Strategy
+from .protocols import (Candidates, KDeepRule, ObserverStrategy, StepContext,
+                        Strategy)
 
 # ---------------------------------------------------------------------------
 # private-fork double spend
@@ -81,6 +82,7 @@ class PrivateForkStrategy(Strategy):
         self._base_len = 1
         self._unreleased: list[Message] = []
         self._reset_next = False
+        self._candidates = Candidates()
         self.rounds = 0
         self.releases = 0
 
@@ -123,7 +125,7 @@ class PrivateForkStrategy(Strategy):
         tip = self._fork.longest_tip
         return [
             PermitRequest(key=key, view=self._fork,
-                          candidate=make_block(key, parent=tip))
+                          candidate=self._candidates.extending(key, tip))
             for key in ctx.keys
         ]
 

@@ -41,7 +41,7 @@ from .blocktree import BlockIndex, BlockSetView
 from .errors import (ConfigError, DanglingBlockError, ExecutionFault,
                      ScheduleViolationError, SettingMismatchError,
                      TranscriptFormatError)
-from .messages import Message, PublicKey, genesis_block
+from .messages import CANONICAL_JSON, Message, PublicKey, genesis_block
 from .network import SynchronySchedule, TimingRule, build_timing_rule
 from .permitter import (LeaderGrant, PermitResponse, StakePermitter,
                         WorkPermitter, enforce_request_budget)
@@ -190,9 +190,7 @@ class Transcript:
     # -- serialization --------------------------------------------------------
 
     def to_lines(self) -> list[str]:
-        def enc(obj) -> str:
-            return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
+        enc = CANONICAL_JSON.encode
         lines = [enc({"type": "header", "format": TRANSCRIPT_FORMAT,
                       "label": self.label, "seed": self.seed,
                       "duration": self.duration,

@@ -26,6 +26,9 @@ PAYLOAD = "payload"
 
 GENESIS_ID_PREFIX = "g:"
 
+# the canonical JSON form of message bodies and transcript records
+CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 @dataclass(frozen=True, order=True)
 class PublicKey:
@@ -83,8 +86,7 @@ class Message:
     def body_digest(self) -> str:
         cached = self.__dict__.get("_body_digest")
         if cached is None:
-            data = json.dumps(self.body_json(), sort_keys=True,
-                              separators=(",", ":"))
+            data = CANONICAL_JSON.encode(self.body_json())
             cached = hashlib.sha256(data.encode()).hexdigest()
             object.__setattr__(self, "_body_digest", cached)
         return cached
@@ -92,7 +94,7 @@ class Message:
     def _digest(self) -> str:
         body = self.body_json()
         body["signer"] = None if self.signer is None else self.signer.to_json()
-        data = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        data = CANONICAL_JSON.encode(body)
         return hashlib.sha256(data.encode()).hexdigest()
 
     # -- convenience ------------------------------------------------------

@@ -22,6 +22,12 @@ unsized (hidden): it normalizes by a *determined* reference scale,
 defaulting to the pool's declared lower total bound.  Draws are derived
 from the execution seed and the request's own labels, so identical
 requests in coupled executions receive identical verdicts.
+
+A 64-bit draw is granted when it lies below the key's integer cutoff,
+``ceil(threshold * 2**64)``.  While a pool is constant its balances and
+total never change, so each permitter computes a key's cutoff once per
+pool and reuses it; for any other pool the threshold is rebuilt in exact
+fractions on every request.
 """
 
 from __future__ import annotations
@@ -101,12 +107,47 @@ class PermitResponse:
         return not self.granted and self.leader is None
 
 
-def _below(draw: int, threshold: Fraction) -> bool:
-    """draw / 2**64 < threshold, in integer arithmetic."""
-    return draw * threshold.denominator < threshold.numerator * 2**64
+def _cutoff(threshold: Fraction) -> int:
+    """The c with draw < c exactly when draw / 2**64 < threshold:
+    ceil(threshold * 2**64), in integer arithmetic."""
+    return -(-threshold.numerator * 2**64 // threshold.denominator)
 
 
-class WorkPermitter:
+class _Lottery:
+    """A balance-weighted lottery's integer grant cutoffs.
+
+    Subclasses give the threshold min(1, rate * balance / scale) through
+    ``_scale``.  A cutoff is cached per (pool, key) only while the pool
+    is constant; a zero balance gives cutoff 0, which denies every draw.
+    """
+
+    def __init__(self, rate):
+        self.rate = as_fraction(rate)
+        self._cutoffs: dict[tuple[ResourcePool, PublicKey], int] = {}
+
+    def _scale(self, pool: ResourcePool, slot: int, view) -> Fraction:
+        raise NotImplementedError
+
+    def _cutoff_for(self, pool: ResourcePool, key: PublicKey, slot: int,
+                    view) -> int:
+        if not pool.is_constant:
+            return self._fresh_cutoff(pool, key, slot, view)
+        cached = self._cutoffs.get((pool, key))
+        if cached is None:
+            cached = self._fresh_cutoff(pool, key, slot, view)
+            self._cutoffs[(pool, key)] = cached
+        return cached
+
+    def _fresh_cutoff(self, pool: ResourcePool, key: PublicKey, slot: int,
+                      view) -> int:
+        balance = pool.balance_of(key, slot, view)
+        if balance == 0:
+            return 0  # hard rule: zero balance is never granted
+        return _cutoff(min(Fraction(1),
+                           self.rate * balance / self._scale(pool, slot, view)))
+
+
+class WorkPermitter(_Lottery):
     """Per-request lottery proportional to the key's balance.
 
     Grants {A} with probability min(1, rate * balance / scale) where the
@@ -118,7 +159,7 @@ class WorkPermitter:
     setting = PermitterSetting(timed=False, budget=SINGLE)
 
     def __init__(self, rate, *, reference_scale=None):
-        self.rate = as_fraction(rate)
+        super().__init__(rate)
         if self.rate < 0:
             raise ConfigError("grant rate cannot be negative")
         self.reference_scale = (
@@ -136,29 +177,28 @@ class WorkPermitter:
                 seed: int) -> PermitResponse:
         key = request.key
         denied = PermitResponse(key=key)
-        balance = pool.balance_of(key, slot, request.view)
-        if balance == 0:
-            return denied  # hard rule: zero balance is never granted
+        view = request.view
+        cutoff = self._cutoff_for(pool, key, slot, view)
+        if cutoff == 0:
+            return denied
         cand = request.candidate
         if cand is None or not cand.is_block or cand.signer != key:
             return denied
         if cand.timestamp is not None:
             return denied  # untimed blocks carry no timestamp
         parent = cand.parent
-        view = request.view
         if parent is None or parent not in view.active:
             return denied
         if view.index.height(parent) + 1 != view.longest_length:
             return denied  # parent is not a tip of a longest chain in M
-        threshold = min(Fraction(1), self.rate * balance / self._scale(pool, slot, view))
         draw = rng.substream_u64(seed, "work", key.owner, key.index, slot,
                                  request.m_digest, cand.id)
-        if _below(draw, threshold):
+        if draw < cutoff:
             return PermitResponse(key=key, granted=(cand,))
         return denied
 
 
-class StakePermitter:
+class StakePermitter(_Lottery):
     """Per-(key, slot) leader lottery proportional to recorded stake.
 
     The draw is a fixed pseudorandom function of (seed, key, t'), so
@@ -171,7 +211,7 @@ class StakePermitter:
     setting = PermitterSetting(timed=True, budget=MULTI)
 
     def __init__(self, rate, *, lookahead: int = 8):
-        self.rate = as_fraction(rate)
+        super().__init__(rate)
         if not 0 <= self.rate <= 1:
             raise ConfigError("per-slot leader rate must lie in [0, 1]")
         self.lookahead = int(lookahead)
@@ -184,6 +224,9 @@ class StakePermitter:
                 "stake permitter needs a sized pool (total enters the threshold)"
             )
 
+    def _scale(self, pool: ResourcePool, slot: int, view) -> Fraction:
+        return pool.total(slot, view)
+
     def respond(self, request: PermitRequest, pool: ResourcePool, slot: int,
                 seed: int) -> PermitResponse:
         key = request.key
@@ -193,13 +236,11 @@ class StakePermitter:
             return denied  # multi-budget requests carry no candidate
         if target is None or target < 1 or target > slot + self.lookahead:
             return denied
-        balance = pool.balance_of(key, target, request.view)
-        if balance == 0:
+        cutoff = self._cutoff_for(pool, key, target, request.view)
+        if cutoff == 0:
             return denied
-        total = pool.total(target, request.view)
-        threshold = min(Fraction(1), self.rate * balance / total)
         draw = rng.substream_u64(seed, "stake", key.owner, key.index, target)
-        if _below(draw, threshold):
+        if draw < cutoff:
             return PermitResponse(
                 key=key, leader=LeaderGrant(key=key, slot=target), target_slot=target
             )

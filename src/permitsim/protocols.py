@@ -76,6 +76,21 @@ class Strategy:
         return []
 
 
+class Candidates:
+    """One candidate block per key, minted again only when its parent
+    changes.  Messages are immutable and identified by content, so the
+    reused candidate has the id, and gets the draw, a new one would."""
+
+    def __init__(self):
+        self._by_key: dict[PublicKey, Message] = {}
+
+    def extending(self, key: PublicKey, parent: str) -> Message:
+        cand = self._by_key.get(key)
+        if cand is None or cand.parent != parent:
+            cand = self._by_key[key] = make_block(key, parent=parent)
+        return cand
+
+
 class ObserverStrategy(Strategy):
     """Receives and confirms, broadcasts and requests nothing."""
 
@@ -89,6 +104,7 @@ class HonestWorkStrategy(Strategy):
 
     def __init__(self):
         self._pending: list[Message] = []
+        self._candidates = Candidates()
 
     def on_receive(self, ctx: StepContext) -> None:
         for resp in ctx.responses:
@@ -102,11 +118,10 @@ class HonestWorkStrategy(Strategy):
         return out
 
     def plan_requests(self, ctx: StepContext) -> list[PermitRequest]:
-        requests = []
-        for key in ctx.keys:
-            candidate = make_block(key, parent=ctx.view.longest_tip)
-            requests.append(PermitRequest(key=key, view=ctx.view, candidate=candidate))
-        return requests
+        tip = ctx.view.longest_tip
+        return [PermitRequest(key=key, view=ctx.view,
+                              candidate=self._candidates.extending(key, tip))
+                for key in ctx.keys]
 
 
 class HonestStakeStrategy(Strategy):

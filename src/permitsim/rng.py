@@ -20,37 +20,48 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
 
 _U64 = 2**64
+_length = struct.Struct("<I").pack  # a part's 4-byte little-endian length
 
 
 def _encode(parts: tuple) -> bytes:
     """Canonical, injective byte encoding of a label tuple."""
     out = bytearray()
     for part in parts:
-        if isinstance(part, bool):  # bool is an int subclass; tag separately
-            out += b"b" + (b"\x01" if part else b"\x00")
-        elif isinstance(part, int):
+        if type(part) is str:  # the common label types first
+            data = part.encode("utf-8")
+            out += b"s"
+        elif type(part) is int:
             data = str(part).encode()
-            out += b"i" + len(data).to_bytes(4, "little") + data
+            out += b"i"
+        elif isinstance(part, bool):  # bool is an int subclass; tag separately
+            out += b"b\x01" if part else b"b\x00"
+            continue
+        elif isinstance(part, int):  # other subclasses encode as their base
+            data = str(int(part)).encode()
+            out += b"i"
         elif isinstance(part, str):
             data = part.encode("utf-8")
-            out += b"s" + len(data).to_bytes(4, "little") + data
+            out += b"s"
         elif isinstance(part, bytes):
-            out += b"y" + len(part).to_bytes(4, "little") + part
+            data = part
+            out += b"y"
         elif part is None:
             out += b"n"
+            continue
         else:
             raise TypeError(f"unsupported label type {type(part)!r}")
+        out += _length(len(data))
+        out += data
     return bytes(out)
 
 
 def substream_u64(seed: int, *parts) -> int:
     """A 64-bit value tied to (seed, *parts)."""
-    h = hashlib.sha256()
-    h.update(str(seed).encode())
-    h.update(_encode(parts))
-    return int.from_bytes(h.digest()[:8], "little")
+    digest = hashlib.sha256(str(seed).encode() + _encode(parts)).digest()
+    return int.from_bytes(digest[:8], "little")
 
 
 def uniform(seed: int, *parts) -> float:

@@ -9,6 +9,7 @@ inputs.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 from importlib import resources
@@ -24,7 +25,7 @@ from .analysis import (EllTable, build_certificate_recalibration,
 from .blocktree import compatible
 from .engine import ExecutionConfig, ProcessorSpec, run_execution
 from .errors import ConfigError
-from .experiment import Scenario, transcript_digest
+from .experiment import Scenario
 from .messages import PublicKey
 from .network import PerEdgeRandomRule, SynchronySchedule
 from .permitter import StakePermitter, WorkPermitter
@@ -37,9 +38,13 @@ def _keys(group: str, count: int) -> tuple[PublicKey, ...]:
     return tuple(PublicKey(group, i) for i in range(count))
 
 
-def _save(transcript, directory: Path | None):
+def _save(transcript, directory: Path | None) -> str:
+    """Serialize the transcript once: write it into ``directory`` when one
+    is given, and return the sha256 of its bytes."""
+    data = transcript.to_bytes()
     if directory is not None:
-        transcript.save(Path(directory) / f"{transcript.label}.jsonl")
+        (Path(directory) / f"{transcript.label}.jsonl").write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _pass_rate(flags: list[bool]) -> dict:
@@ -104,7 +109,7 @@ class HonestWorkLiveness(Scenario):
 
     def run_trial(self, params, seed, transcript_dir=None):
         transcript = run_execution(self._config(params, seed))
-        _save(transcript, transcript_dir)
+        digest = _save(transcript, transcript_dir)
         problems = verify_transcript_invariants(transcript)
         security = check_security(transcript)
         liveness = measure_liveness(transcript)
@@ -115,7 +120,7 @@ class HonestWorkLiveness(Scenario):
             "violations": len(security.violations),
             "minimal_uniform_ell": liveness.minimal_uniform_ell,
             "blocks": len(transcript.broadcasts),
-            "transcript_sha256": transcript_digest(transcript),
+            "transcript_sha256": digest,
         }
 
     def aggregate(self, results, params):
@@ -209,7 +214,7 @@ class WorkDoubleSpend(Scenario):
     def run_trial(self, params, seed, transcript_dir=None):
         config, made = self._config(params, seed)
         transcript = run_execution(config)
-        _save(transcript, transcript_dir)
+        digest = _save(transcript, transcript_dir)
         attacker = made[-1]
         security = check_security(transcript)
         kinds = sorted({v.kind for v in security.violations})
@@ -219,7 +224,7 @@ class WorkDoubleSpend(Scenario):
             "violation_kinds": kinds,
             "fork_rounds": attacker.rounds,
             "fork_releases": attacker.releases,
-            "transcript_sha256": transcript_digest(transcript),
+            "transcript_sha256": digest,
         }
 
     def aggregate(self, results, params):
@@ -365,8 +370,8 @@ class SimulationRelease(Scenario):
         inner = run_execution(self._inner_config(params, seed))
         config, attacker = self._attacked_config(params, seed)
         attacked = run_execution(config)
-        _save(inner, transcript_dir)
-        _save(attacked, transcript_dir)
+        inner_digest = _save(inner, transcript_dir)
+        attacked_digest = _save(attacked, transcript_dir)
 
         released_at = attacker.released_at
         owners = {k.owner for g in self._maj_keys(params) for k in g}
@@ -387,8 +392,8 @@ class SimulationRelease(Scenario):
             "ledger_match": ledger_match,
             "violation": not security.ok,
             "violation_count": len(security.violations),
-            "inner_sha256": transcript_digest(inner),
-            "attacked_sha256": transcript_digest(attacked),
+            "inner_sha256": inner_digest,
+            "attacked_sha256": attacked_digest,
         }
 
     def aggregate(self, results, params):
@@ -430,14 +435,14 @@ class IsolatedObservers(Scenario):
         base_scn = WorkDoubleSpend()
         config, _made = base_scn._config(params, seed)
         base = run_execution(config)
-        _save(base, transcript_dir)
+        base_digest = _save(base, transcript_dir)
         security = check_security(base)
         out = {
             "attacked": not security.ok,
             "implication_ok": None,
             "replay_ok": None,
             "tips_match": None,
-            "base_sha256": transcript_digest(base),
+            "base_sha256": base_digest,
             "extended_sha256": None,
         }
         if security.ok:
@@ -460,7 +465,7 @@ class IsolatedObservers(Scenario):
 
         extended_config = build_isolated_observer_instance(config, base, arms)
         extended = run_execution(extended_config)
-        _save(extended, transcript_dir)
+        extended_digest = _save(extended, transcript_dir)
 
         roster = set(base.roster_ids)
         replay_ok = (
@@ -479,7 +484,7 @@ class IsolatedObservers(Scenario):
             "implication_ok": implication,
             "replay_ok": replay_ok,
             "tips_match": (tip_a == viol.tip_a and tip_b == viol.tip_b),
-            "extended_sha256": transcript_digest(extended),
+            "extended_sha256": extended_digest,
         })
         return out
 
@@ -572,7 +577,7 @@ class StakeDensityCertificates(Scenario):
     def run_trial(self, params, seed, transcript_dir=None):
         recal = self.plan(params)
         transcript = run_execution(self._config(params, seed, recal))
-        _save(transcript, transcript_dir)
+        digest = _save(transcript, transcript_dir)
         security = check_security(transcript)
         liveness = measure_liveness(transcript)
         final_len = transcript.confirmed_series("val")[-1][1]
@@ -582,7 +587,7 @@ class StakeDensityCertificates(Scenario):
             "live_within_ell_prime": liveness.satisfies(recal.ell_prime),
             "minimal_uniform_ell": liveness.minimal_uniform_ell,
             "final_confirmed_len": final_len,
-            "transcript_sha256": transcript_digest(transcript),
+            "transcript_sha256": digest,
         }
 
     def aggregate(self, results, params):

@@ -4,15 +4,17 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from permitsim.blocktree import BlockIndex, BlockSetView
 from permitsim.errors import ConfigError, SettingMismatchError
 from permitsim.messages import PublicKey, genesis_block, make_block
 from permitsim.permitter import (LeaderGrant, PermitRequest, PermitResponse,
-                                 StakePermitter, WorkPermitter,
+                                 StakePermitter, WorkPermitter, _cutoff,
                                  enforce_request_budget)
 from permitsim.resource_pool import (SIZED, UNSIZED, ConstantBalancePool,
-                                     StakePool)
+                                     ScriptedPool, StakePool)
 
 KEY = PublicKey("p", 0)
 OTHER = PublicKey("q", 0)
@@ -194,6 +196,75 @@ class TestStakePermitter:
     def test_rate_must_be_probability(self):
         with pytest.raises(ConfigError):
             StakePermitter(Fraction(3, 2))
+
+
+class TestGrantCutoff:
+    """A draw is granted when draw / 2**64 < threshold; the permitters
+    compare it with the integer cutoff instead."""
+
+    @given(st.fractions(min_value=0, max_value=1),
+           st.integers(min_value=0, max_value=2**64 - 1))
+    def test_cutoff_matches_the_exact_comparison(self, threshold, draw):
+        assert (draw < _cutoff(threshold)) == (Fraction(draw, 2**64) < threshold)
+
+    @given(st.fractions(min_value=0, max_value=1))
+    def test_the_cutoff_is_the_first_denied_draw(self, threshold):
+        c = _cutoff(threshold)
+        assert 0 <= c <= 2**64
+        if c > 0:
+            assert Fraction(c - 1, 2**64) < threshold
+        if c < 2**64:
+            assert not Fraction(c, 2**64) < threshold
+
+    def test_the_ends_of_the_range(self):
+        assert _cutoff(Fraction(0)) == 0          # denies every draw
+        assert _cutoff(Fraction(1)) == 2**64      # grants every draw
+        assert _cutoff(Fraction(1, 2)) == 2**63
+        assert _cutoff(Fraction(1, 3)) == 2**64 // 3 + 1
+
+    def test_a_moving_pool_is_read_on_every_request(self):
+        # KEY's balance drops to zero at slot 10; a cutoff kept from an
+        # earlier slot would go on granting
+        pool = ScriptedPool([(1, {KEY: 1, OTHER: 1}), (10, {KEY: 0, OTHER: 1})])
+        permitter = WorkPermitter(2)  # threshold 1 while KEY holds half
+        view, genesis = fresh_view()
+        granted = [
+            not permitter.respond(
+                work_request(view, genesis, payload=f"m{slot}")[0],
+                pool, slot, seed=4).empty
+            for slot in range(1, 21)]
+        assert granted == [True] * 9 + [False] * 11
+
+    def test_a_moving_stake_pool_is_read_on_every_request(self):
+        pool = ScriptedPool([(1, {KEY: 1, OTHER: 1}), (10, {KEY: 0, OTHER: 1})])
+        permitter = StakePermitter(1, lookahead=30)
+        view, _ = fresh_view(timed=True)
+        # half the stake at rate 1: about half the targets before slot 10
+        # are won, and none after
+        wins = [t for t in range(1, 200)
+                if not permitter.respond(
+                    PermitRequest(key=KEY, view=view, target_slot=t),
+                    pool, t, seed=6).empty]
+        assert wins and all(t < 10 for t in wins)
+
+    def test_each_constant_pool_keeps_its_own_cutoff(self):
+        permitter = WorkPermitter(1)
+        holds = ConstantBalancePool({KEY: 1}, mode=SIZED)
+        lacks = ConstantBalancePool({OTHER: 1}, mode=SIZED)
+        view, genesis = fresh_view()
+        req, _ = work_request(view, genesis)
+        verdicts = [permitter.respond(req, pool, slot, seed=0).empty
+                    for slot, pool in enumerate((holds, lacks) * 3, 1)]
+        assert verdicts == [False, True] * 3
+
+    def test_each_constant_stake_pool_keeps_its_own_cutoff(self):
+        permitter = StakePermitter(1, lookahead=10)
+        holds, lacks = StakePool({KEY: 1}), StakePool({OTHER: 1})
+        view, _ = fresh_view(timed=True)
+        req = PermitRequest(key=KEY, view=view, target_slot=2)
+        verdicts = [permitter.respond(req, pool, 1, seed=0).empty
+                    for pool in (holds, lacks) * 3]
+        assert verdicts == [False, True] * 3
 
 
 class TestLeaderGrant:

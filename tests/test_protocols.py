@@ -1,4 +1,5 @@
-"""Confirmation rules and the density arithmetic behind them."""
+"""Confirmation rules, the density arithmetic behind them, and the
+honest work strategy's candidates."""
 
 import math
 from fractions import Fraction
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from permitsim.blocktree import BlockIndex, ancestors, longest_chain_tip
 from permitsim.errors import ConfigError
 from permitsim.messages import PublicKey, genesis_block, make_block
-from permitsim.protocols import (DensityCertificateRule, KDeepRule,
-                                 ProductionProfile, density_threshold,
-                                 interval_length_r)
+from permitsim.protocols import (DensityCertificateRule, HonestWorkStrategy,
+                                 KDeepRule, ProductionProfile, StepContext,
+                                 density_threshold, interval_length_r)
 
 from conftest import build_chain
 
@@ -242,3 +243,32 @@ class TestDensityArithmetic:
         gap = profile.per_slot_gap(th)
         tail = 2 * math.exp(-2 * r * gap * gap)
         assert tail <= eps / (2 * math.ceil(3000 / r))
+
+
+# ---------------------------------------------------------------------------
+# honest work candidates
+# ---------------------------------------------------------------------------
+
+
+def work_step(view, slot):
+    return StepContext(slot=slot, processor_id="p", keys=(P,), view=view,
+                       responses=(), delivered=(), duration=100, delta=2,
+                       epsilon=0.1, timed=False)
+
+
+class TestHonestWorkCandidates:
+    def test_the_candidate_is_reused_while_the_tip_holds(self, view, genesis):
+        strategy = HonestWorkStrategy()
+        first = strategy.plan_requests(work_step(view, 1))[0].candidate
+        again = strategy.plan_requests(work_step(view, 2))[0].candidate
+        assert again is first
+        assert first.parent == genesis.id
+
+    def test_a_moved_tip_gets_a_new_candidate(self, view, genesis):
+        strategy = HonestWorkStrategy()
+        first = strategy.plan_requests(work_step(view, 1))[0].candidate
+        block = make_block(Q, genesis.id)
+        view.add(block)
+        moved = strategy.plan_requests(work_step(view, 2))[0].candidate
+        assert moved.parent == block.id
+        assert moved.id == make_block(P, block.id).id != first.id

@@ -1,5 +1,6 @@
 """The derived-stream RNG: keyed, deterministic, statistically flat."""
 
+import enum
 import math
 from fractions import Fraction
 
@@ -25,6 +26,23 @@ def test_part_boundaries_do_not_collide():
     # ("ab", "c") and ("a", "bc") must hash differently
     assert rng.substream_u64(1, "ab", "c") != rng.substream_u64(1, "a", "bc")
     assert rng.substream_u64(1, 12, 3) != rng.substream_u64(1, 1, 23)
+
+
+def test_bool_and_int_labels_differ():
+    assert rng.substream_u64(1, True) != rng.substream_u64(1, 1)
+    assert rng.substream_u64(1, False) != rng.substream_u64(1, 0)
+
+
+def test_subclassed_labels_encode_like_their_base_type():
+    class Level(enum.IntEnum):
+        LOW = 1
+
+    class Tag(str):
+        pass
+
+    assert rng._encode((Level.LOW,)) == rng._encode((1,))
+    assert rng.substream_u64(1, Level.LOW) == rng.substream_u64(1, 1)
+    assert rng._encode((Tag("work"),)) == rng._encode(("work",))
 
 
 def test_uniform_int_bounds():

@@ -1,7 +1,10 @@
 """One small trial through each packaged scenario."""
 
+import hashlib
+
 import pytest
 
+from permitsim.engine import Transcript
 from permitsim.errors import ConfigError
 from permitsim.scenarios import SCENARIOS, get_scenario
 
@@ -29,6 +32,34 @@ class TestRegistry:
     def test_unknown_name_lists_the_options(self):
         with pytest.raises(ConfigError, match="honest_work_liveness"):
             get_scenario("work_liveness")
+
+
+class TestSavedTranscripts:
+    @pytest.mark.parametrize("name,overrides", [
+        ("honest_work_liveness", {"duration": 200}),
+        ("simulation_release", {"duration": 300}),
+    ])
+    def test_each_transcript_is_serialized_once(self, name, overrides,
+                                                tmp_path, monkeypatch):
+        serialized = []
+        to_bytes = Transcript.to_bytes
+
+        def counted(transcript):
+            serialized.append(transcript.label)
+            return to_bytes(transcript)
+
+        monkeypatch.setattr(Transcript, "to_bytes", counted)
+        scenario = get_scenario(name)
+        params = scenario.resolve_params(overrides)
+        row = scenario.run_trial(params, 3, transcript_dir=tmp_path)
+        files = sorted(tmp_path.glob("*.jsonl"))
+        assert sorted(serialized) == [f.stem for f in files]
+        saved = {hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+        digests = {v for k, v in row.items() if k.endswith("_sha256")}
+        assert digests == saved
+        # the digests do not depend on whether the files are written
+        unsaved = scenario.run_trial(params, 3)
+        assert unsaved == row
 
 
 class TestHonestWorkLiveness:

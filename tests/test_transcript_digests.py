@@ -12,7 +12,10 @@ from fractions import Fraction
 import pytest
 
 from permitsim.engine import run_execution
+from permitsim.messages import PublicKey
 from permitsim.network import PARTIALLY_SYNCHRONOUS, SynchronySchedule
+from permitsim.permitter import WorkPermitter
+from permitsim.resource_pool import StakePool, sample_unsized_pool
 from permitsim.scenarios import get_scenario
 
 from conftest import stake_config, work_config
@@ -89,11 +92,33 @@ def wide_random_config():
     return cfg
 
 
+# pools whose balances move, so no grant threshold may be reused
+def drift_pool_config():
+    """Three miners on a hidden total drifting from 3 to 6, normalized by
+    a reference scale of 3."""
+    cfg = work_config(duration=300, label="drift-pool")
+    shares = {f"p{i}": Fraction(1, 3) for i in range(3)}
+    cfg.pool = sample_unsized_pool((3, 6), shares, profile="drift", seed=5,
+                                   duration=300)
+    cfg.permitter = WorkPermitter(Fraction(1, 10), reference_scale=3)
+    return cfg
+
+
+def stake_reward_config():
+    """Two stakers whose recorded stake grows by one per seasoned block."""
+    cfg = stake_config(duration=300, label="stake-reward")
+    cfg.pool = StakePool({PublicKey("s0", 0): 2, PublicKey("s1", 0): 1},
+                         reward=1, min_recording_age=3)
+    return cfg
+
+
 CONFIG_DIGESTS = {
     "work_config": "2c8b6c9df740384dce8e40abdef981f1a86386810e589bb8a01f85007f66eca2",
     "stake_config": "2d4908654ce50e3ae456fcc521b87e4856cfffffb4ae336a0ee4f204e2a524f5",
     "partitioned_config": "906b922725eb6b179994fae20bf284cf8bd3133b434559411bcc6468e40b5a0f",
     "wide_random_config": "d553e2bb4f98a249ce7aa39b6f302b52227d8e96d4bd333e97e05dc6a2418b79",
+    "drift_pool_config": "52688951f3b048618c6e32348ccd02a92203fcb49b2a8851161423521d5d4089",
+    "stake_reward_config": "1e8476036467855c8a1d97f4c8f3c96d96aab1d6bc895273f0727abc1107d622",
 }
 
 
@@ -111,7 +136,8 @@ def test_scenario_transcripts_are_unchanged(case, seed):
 
 
 @pytest.mark.parametrize("build", [work_config, stake_config,
-                                   partitioned_config, wide_random_config],
+                                   partitioned_config, wide_random_config,
+                                   drift_pool_config, stake_reward_config],
                          ids=lambda b: b.__name__)
 def test_conftest_config_transcripts_are_unchanged(build):
     data = run_execution(build()).to_bytes()

@@ -97,7 +97,7 @@ class PrivateForkStrategy(Strategy):
             self._reset(ctx)
         for resp in ctx.responses:
             for msg in resp.granted:
-                if msg.parent in self._fork.active:
+                if self._fork.is_active(msg.parent):
                     self._fork.add(msg)
                     self._unreleased.append(msg)
                 # grants answering a round that was since abandoned are stale

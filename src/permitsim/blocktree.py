@@ -7,20 +7,26 @@ single leaf, i.e. the full ancestry of some block.  Two blocks are
 other or they are equal).
 
 ``BlockIndex`` is the per-execution registry of every block content seen
-so far.  It caches each block's ancestry as a tuple, which makes
-ancestor-at-height lookups, compatibility checks and confirmed-prefix
-extraction O(1) after the first touch.
+so far.  Each block costs it O(1) memory: its parent, height, the block
+itself, one skew-binary jump pointer, and two running values over its
+chain (the largest timestamp and the XOR of the block ids' digest bits).
+The jump pointers (Myers, "An applicative random-access stack", 1983)
+answer ancestor-at-height and compatibility queries in O(log h); a full
+ancestry tuple is built by walking parents, only when a caller asks for
+one.
 
 ``BlockSetView`` is a message set (genesis plus the messages added to
 it) with its active blocks, longest tip and digest; what a processor
 holds is recorded by the engine, not by a view.  Blocks whose parents
 have not arrived yet are buffered as *dangling* and activate once their
-ancestry completes; only active blocks anchor chains.
+ancestry completes; only active blocks anchor chains.  A view may start
+from the whole chain of a base block, which it shares through the index
+instead of copying: ``chain_view`` forks a view in O(1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 
 from .errors import DanglingBlockError
 from .messages import Message
@@ -32,38 +38,47 @@ class BlockIndex:
     def __init__(self, genesis: Message):
         if not genesis.is_genesis:
             raise ValueError("index must be rooted at a genesis block")
-        self.genesis_id = genesis.id
-        self._parent: dict[str, str | None] = {genesis.id: None}
-        self._height: dict[str, int] = {genesis.id: 0}
-        self._timestamp: dict[str, int | None] = {genesis.id: genesis.timestamp}
-        # ancestry[b] = (genesis_id, ..., b); prefix_max_ts[b] mirrors it with
-        # running maxima of timestamps (0 where untimed).
-        self._ancestry: dict[str, tuple[str, ...]] = {genesis.id: (genesis.id,)}
-        self._prefix_max_ts: dict[str, tuple[int, ...]] = {
-            genesis.id: (genesis.timestamp or 0,)
-        }
+        gid = genesis.id
+        self.genesis_id = gid
+        self._block: dict[str, Message] = {gid: genesis}
+        self._parent: dict[str, str | None] = {gid: None}
+        self._height: dict[str, int] = {gid: 0}
+        # a jump pointer to an ancestor; the heights it skips follow the
+        # skew-binary numbers, so a level-ancestor walk takes O(log h) hops
+        self._jump: dict[str, str] = {gid: gid}
+        # over the chain genesis..b: the running max timestamp (0 where
+        # untimed) and the XOR of _id_bits
+        self._max_ts: dict[str, int] = {gid: genesis.timestamp or 0}
+        self._chain_xor: dict[str, int] = {gid: _id_bits(gid)}
 
     def add(self, block: Message) -> None:
         if not block.is_block:
             raise ValueError("only blocks belong in the block index")
-        if block.id in self._parent:
+        bid = block.id
+        if bid in self._parent:
             return  # identical content already registered
         parent = block.parent
         if parent is None:
             raise ValueError("second genesis block is not allowed")
         if parent not in self._parent:
             raise DanglingBlockError(parent)
-        self._parent[block.id] = parent
-        self._height[block.id] = self._height[parent] + 1
-        self._timestamp[block.id] = block.timestamp
-        self._ancestry[block.id] = self._ancestry[parent] + (block.id,)
-        prev = self._prefix_max_ts[parent][-1]
-        self._prefix_max_ts[block.id] = self._prefix_max_ts[parent] + (
-            max(prev, block.timestamp or 0),
-        )
+        height, jump = self._height, self._jump
+        up = jump[parent]
+        if height[parent] - height[up] == height[up] - height[jump[up]]:
+            jump[bid] = jump[up]
+        else:
+            jump[bid] = parent
+        self._block[bid] = block
+        self._parent[bid] = parent
+        height[bid] = height[parent] + 1
+        self._max_ts[bid] = max(self._max_ts[parent], block.timestamp or 0)
+        self._chain_xor[bid] = self._chain_xor[parent] ^ _id_bits(bid)
 
     def __contains__(self, block_id: str) -> bool:
         return block_id in self._parent
+
+    def block(self, block_id: str) -> Message:
+        return self._block[block_id]
 
     def parent(self, block_id: str) -> str | None:
         return self._parent[block_id]
@@ -72,21 +87,51 @@ class BlockIndex:
         return self._height[block_id]
 
     def timestamp(self, block_id: str) -> int | None:
-        return self._timestamp[block_id]
+        return self._block[block_id].timestamp
+
+    def chain_digest(self, block_id: str) -> int:
+        """XOR of ``_id_bits`` over the block's chain, genesis included."""
+        return self._chain_xor[block_id]
+
+    def chain(self, block_id: str) -> Iterator[Message]:
+        """The blocks of the block's chain, from it back to genesis."""
+        block, parent = self._block, self._parent
+        b = block_id
+        while b is not None:
+            yield block[b]
+            b = parent[b]
 
     def ancestry(self, block_id: str) -> tuple[str, ...]:
-        """(genesis, ..., block)."""
-        return self._ancestry[block_id]
+        """(genesis, ..., block), built in O(h) by walking parents."""
+        chain = []
+        parent = self._parent
+        b = block_id
+        while b is not None:
+            chain.append(b)
+            b = parent[b]
+        chain.reverse()
+        return tuple(chain)
 
     def ancestor_at_height(self, block_id: str, height: int) -> str:
-        anc = self._ancestry[block_id]
-        if not 0 <= height < len(anc):
+        h = self._height[block_id]
+        if not 0 <= height <= h:
             raise ValueError(f"height {height} outside ancestry of {block_id}")
-        return anc[height]
+        heights, jump, parent = self._height, self._jump, self._parent
+        b = block_id
+        while h > height:
+            up = jump[b]
+            if heights[up] >= height:
+                b = up
+                h = heights[up]
+            else:
+                b = parent[b]
+                h -= 1
+        return b
 
     def max_timestamp_up_to_height(self, block_id: str, height: int) -> int:
-        """Largest timestamp among the ancestry prefix of the given length."""
-        return self._prefix_max_ts[block_id][height]
+        """Largest timestamp (0 where untimed) among the ancestors at
+        heights 0..height."""
+        return self._max_ts[self.ancestor_at_height(block_id, height)]
 
     def block_ids(self) -> list[str]:
         return list(self._parent)
@@ -119,7 +164,7 @@ def leaves(block_ids, index: BlockIndex) -> set[str]:
 
 def complete_in(block_id: str, present: set[str], index: BlockIndex) -> bool:
     """True when the block's full ancestry lies inside ``present``."""
-    return all(a in present for a in index.ancestry(block_id))
+    return present.issuperset(index.ancestry(block_id))
 
 
 def longest_chain_tip(block_ids, index: BlockIndex) -> str | None:
@@ -153,48 +198,59 @@ def is_chain(block_ids, index: BlockIndex) -> bool:
 # -- message sets -------------------------------------------------------------
 
 
-@dataclass
 class BlockSetView:
-    """One message set: genesis plus the messages added to it.
+    """One message set: the chain of a base block plus the messages added.
+
+    A fresh view's base is genesis.  A view from ``chain_view`` has the
+    forked view's longest tip as its base and shares that chain through
+    the index: a block ``x`` is held and active on the base chain when
+    ``ancestor_at_height(base, height(x)) == x``, and the view itself
+    stores only what is added after the fork.
 
     Tracks which blocks are *active* (complete ancestry present) and the
     longest active chain tip, and maintains a rolling XOR digest so permit
     requests can name the set compactly.
     """
 
-    index: BlockIndex
-    messages: dict[str, Message] = field(default_factory=dict)
-    active: set[str] = field(default_factory=set)
-    _dangling_by_parent: dict[str, list[str]] = field(default_factory=dict)
-    _tip: str = ""
-    _digest: int = 0
-
-    def __post_init__(self):
-        gid = self.index.genesis_id
-        if gid not in self.messages:
-            raise ValueError("views must be seeded with the genesis message")
-        self.active.add(gid)
-        self._tip = gid
-        for mid in self.messages:
-            self._digest ^= _id_bits(mid)
+    def __init__(self, index: BlockIndex, base: str | None = None):
+        self.index = index
+        self._base = index.genesis_id if base is None else base
+        self._base_height = index.height(self._base)
+        # held beyond the base chain: every message id, and the active blocks
+        self._held: set[str] = set()
+        self._active: set[str] = set()
+        self._dangling_by_parent: dict[str, list[str]] = {}
+        self._tip = self._base
+        self._digest = index.chain_digest(self._base)
 
     @classmethod
     def fresh(cls, index: BlockIndex, genesis: Message) -> "BlockSetView":
-        return cls(index=index, messages={genesis.id: genesis})
+        if genesis.id != index.genesis_id:
+            raise ValueError("views must be seeded with the genesis message")
+        return cls(index)
 
     def chain_view(self) -> "BlockSetView":
-        """A fresh view holding genesis and the longest chain of this one."""
-        chain = self.index.ancestry(self._tip)
-        view = BlockSetView(index=self.index,
-                            messages={b: self.messages[b] for b in chain})
-        view.active.update(chain)
-        view._tip = self._tip
-        return view
+        """A new view holding genesis and the longest chain of this one;
+        it shares the chain with this view instead of copying it."""
+        return BlockSetView(self.index, self._tip)
 
     # -- contents ----------------------------------------------------------
 
+    def _on_base(self, msg_id: str) -> bool:
+        """True when the message is a block of the base chain."""
+        h = self.index._height.get(msg_id)  # None: not a registered block
+        if h is None or h > self._base_height:
+            return False
+        if h == self._base_height:
+            return msg_id == self._base
+        return self.index.ancestor_at_height(self._base, h) == msg_id
+
     def __contains__(self, msg_id: str) -> bool:
-        return msg_id in self.messages
+        return msg_id in self._held or self._on_base(msg_id)
+
+    def is_active(self, block_id: str) -> bool:
+        """True when the block and its whole ancestry are held."""
+        return block_id in self._active or self._on_base(block_id)
 
     @property
     def digest(self) -> int:
@@ -212,7 +268,7 @@ class BlockSetView:
         return self.index.height(self._tip) + 1
 
     def ids(self) -> set[str]:
-        return set(self.messages)
+        return set(self.index.ancestry(self._base)) | self._held
 
     # -- updates -----------------------------------------------------------
 
@@ -223,13 +279,13 @@ class BlockSetView:
         parent is not yet active is parked and activated (together with any
         waiting descendants) once the gap closes.
         """
-        if msg.id in self.messages:
+        if msg.id in self._held or self._on_base(msg.id):
             return []
-        self.messages[msg.id] = msg
+        self._held.add(msg.id)
         self._digest ^= _id_bits(msg.id)
         if msg.is_block:
             self.index.add(msg)  # no-op when already registered
-            if msg.parent in self.active:
+            if self.is_active(msg.parent):
                 return self._activate(msg.id)
             self._dangling_by_parent.setdefault(msg.parent, []).append(msg.id)
         return []
@@ -237,13 +293,14 @@ class BlockSetView:
     def _activate(self, block_id: str) -> list[str]:
         activated = []
         queue = [block_id]
+        height = self.index.height
         while queue:
             b = queue.pop()
-            self.active.add(b)
+            self._active.add(b)
             activated.append(b)
-            h = self.index.height(b)
-            if h > self.index.height(self._tip) or (
-                h == self.index.height(self._tip) and b < self._tip
+            h = height(b)
+            if h > height(self._tip) or (
+                h == height(self._tip) and b < self._tip
             ):
                 self._tip = b
             queue.extend(self._dangling_by_parent.pop(b, ()))

@@ -334,7 +334,7 @@ class _ProcessorRuntime:
         self.pairs.add(msg.pair())
         self.pairs.update(msg.embedded)
         for activated in self.view.add(msg):
-            self.tracker.on_block(self.view.messages[activated])
+            self.tracker.on_block(self.view.index.block(activated))
 
 
 def validate_broadcast(runtime: _ProcessorRuntime, msg: Message, slot: int) -> None:

@@ -165,6 +165,8 @@ class WorkPermitter(_Lottery):
         self.reference_scale = (
             None if reference_scale is None else as_fraction(reference_scale)
         )
+        if self.reference_scale is not None and self.reference_scale <= 0:
+            raise ConfigError("reference scale must be positive")
 
     def _scale(self, pool: ResourcePool, slot: int, view) -> Fraction:
         if pool.mode == SIZED:
@@ -187,7 +189,7 @@ class WorkPermitter(_Lottery):
         if cand.timestamp is not None:
             return denied  # untimed blocks carry no timestamp
         parent = cand.parent
-        if parent is None or parent not in view.active:
+        if parent is None or not view.is_active(parent):
             return denied
         if view.index.height(parent) + 1 != view.longest_length:
             return denied  # parent is not a tip of a longest chain in M

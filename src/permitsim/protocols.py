@@ -219,15 +219,21 @@ class _KDeepTracker:
     def __init__(self, k: int, view: BlockSetView):
         self.k = k
         self.view = view
+        self._tip: str | None = None  # the tip the cached answer is for
+        self._current: tuple[str | None, int] = (None, 0)
 
     def on_block(self, block: Message) -> None:
         pass  # the view already tracks the longest active tip
 
     def current(self) -> tuple[str | None, int]:
         tip = self.view.longest_tip
-        length = self.view.index.height(tip) + 1
-        confirmed_len = max(1, length - self.k)
-        return self.view.index.ancestor_at_height(tip, confirmed_len - 1), confirmed_len
+        if tip != self._tip:
+            confirmed_len = max(1, self.view.index.height(tip) + 1 - self.k)
+            self._current = (
+                self.view.index.ancestor_at_height(tip, confirmed_len - 1),
+                confirmed_len)
+            self._tip = tip
+        return self._current
 
 
 @dataclass(frozen=True)

@@ -163,32 +163,27 @@ class StakePool(ResourcePool):
         if self.reward < 0:
             raise ConfigError("block reward cannot be negative")
 
+    def _seasoned_signers(self, slot: int, view) -> list[PublicKey]:
+        """The signer of each block on the longest chain of ``view`` that
+        is at least ``min_recording_age`` slots old at ``slot``; the chain
+        is read through the block index, which also holds the part a fork
+        view shares with the view it forked from."""
+        cutoff = slot - self.min_recording_age
+        return [msg.signer for msg in view.index.chain(view.longest_tip)
+                if msg.signer is not None and (msg.timestamp or 0) <= cutoff]
+
     def balance_of(self, key: PublicKey, slot: int, view=None) -> Fraction:
         base = self._balances.get(key, Fraction(0))
         if self.reward == 0 or view is None:
             return base
-        cutoff = slot - self.min_recording_age
-        earned = 0
-        for bid in view.index.ancestry(view.longest_tip):
-            msg = view.messages.get(bid)
-            if msg is None or msg.signer != key:
-                continue
-            ts = msg.timestamp or 0
-            if ts <= cutoff:
-                earned += 1
+        earned = self._seasoned_signers(slot, view).count(key)
         return base + self.reward * earned
 
     def total(self, slot: int, view=None) -> Fraction:
+        base = sum(self._balances.values(), Fraction(0))
         if self.reward == 0 or view is None:
-            return sum(self._balances.values(), Fraction(0))
-        cutoff = slot - self.min_recording_age
-        earned = 0
-        for bid in view.index.ancestry(view.longest_tip):
-            msg = view.messages.get(bid)
-            if msg is not None and msg.signer is not None:
-                if (msg.timestamp or 0) <= cutoff:
-                    earned += 1
-        return sum(self._balances.values(), Fraction(0)) + self.reward * earned
+            return base
+        return base + self.reward * len(self._seasoned_signers(slot, view))
 
     @property
     def is_constant(self) -> bool:
@@ -239,6 +234,11 @@ class ScriptedPool(ResourcePool):
 
     def nonzero_keys(self, slot: int, view=None) -> list[PublicKey]:
         return [k for k, v in self._segment(slot).items() if v > 0]
+
+    def declared_keys(self) -> list[PublicKey]:
+        """Every key with a positive balance in some segment."""
+        return list(dict.fromkeys(
+            k for _, bal in self._segments for k, v in bal.items() if v > 0))
 
 
 def sample_unsized_pool(bounds: tuple, shares: dict, profile: str, seed: int,

@@ -1,5 +1,8 @@
 """Block indexes and per-processor views of the growing tree."""
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,11 @@ from conftest import build_chain
 
 P = PublicKey("p", 0)
 Q = PublicKey("q", 0)
+
+
+def active_set(view):
+    """Every block of the index that the view holds as active."""
+    return {b for b in view.index.block_ids() if view.is_active(b)}
 
 
 @pytest.fixture
@@ -132,7 +140,7 @@ class TestBlockSetView:
         for blk in a:
             built.add(blk)
         assert chain.ids() == built.ids() == {genesis.id, *(x.id for x in a)}
-        assert chain.active == built.active
+        assert active_set(chain) == active_set(built)
         assert chain.digest == built.digest
         assert chain.longest_tip == a[2].id
         # the copy grows on its own
@@ -172,6 +180,141 @@ def test_view_active_set_ignores_arrival_order(case):
     for pos in order:
         shuffled.add(blocks[pos])
 
-    assert shuffled.active == in_order.active
+    assert active_set(shuffled) == active_set(in_order)
     assert shuffled.longest_tip == in_order.longest_tip
     assert shuffled.digest == in_order.digest
+
+
+# -- the index against a naive parent walk -----------------------------------
+
+
+def random_tree(rng: random.Random, trunk: int, branches: int):
+    """A trunk of ``trunk`` blocks plus ``branches`` side blocks, each hung
+    off a random earlier block; timestamps are random or absent.  Returns
+    the blocks in insertion order and each block's parent and timestamp by
+    id."""
+    genesis = genesis_block(timed=False)
+    blocks = [genesis]
+    parent_of = {genesis.id: None}
+    ts_of = {genesis.id: None}
+    order = ["trunk"] * trunk + ["branch"] * branches
+    rng.shuffle(order)
+    tip = genesis.id
+    for i, kind in enumerate(order):
+        parent = tip if kind == "trunk" else rng.choice(blocks).id
+        ts = rng.choice([None, rng.randrange(0, 10 * (trunk + branches))])
+        blk = make_block(P, parent, timestamp=ts, payload=f"n{i}")
+        blocks.append(blk)
+        parent_of[blk.id] = parent
+        ts_of[blk.id] = ts
+        if kind == "trunk":
+            tip = blk.id
+    return blocks, parent_of, ts_of
+
+
+def naive_ancestry(parent_of, b):
+    chain = []
+    while b is not None:
+        chain.append(b)
+        b = parent_of[b]
+    return tuple(reversed(chain))
+
+
+@pytest.mark.parametrize("shape", [(0, 1), (1, 0), (5, 20), (60, 40),
+                                   (3000, 300)], ids=str)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=10, deadline=None)
+def test_index_queries_match_a_parent_walk(shape, seed):
+    rng = random.Random(seed)
+    blocks, parent_of, ts_of = random_tree(rng, *shape)
+    index = BlockIndex(blocks[0])
+    for blk in blocks[1:]:
+        index.add(blk)
+    ids = [b.id for b in blocks]
+    for b in rng.sample(ids, min(len(ids), 60)):
+        chain = naive_ancestry(parent_of, b)
+        assert index.ancestry(b) == chain
+        assert index.height(b) == len(chain) - 1
+        heights = {0, len(chain) - 1}
+        heights.update(rng.randrange(len(chain)) for _ in range(10))
+        for h in heights:
+            assert index.ancestor_at_height(b, h) == chain[h]
+            assert index.max_timestamp_up_to_height(b, h) == max(
+                ts_of[x] or 0 for x in chain[:h + 1])
+        with pytest.raises(ValueError):
+            index.ancestor_at_height(b, len(chain))
+        other = rng.choice(ids)
+        other_chain = naive_ancestry(parent_of, other)
+        assert compatible(b, other, index) == (
+            b in other_chain or other in chain)
+        assert [m.id for m in index.chain(b)] == list(reversed(chain))
+
+
+def test_index_memory_grows_linearly_with_the_chain():
+    """A block costs the index O(1) memory: twice the chain, at most 2.3
+    times the allocation (full ancestry tuples gave about 4 times)."""
+    genesis = genesis_block(timed=True)
+    blocks, tip = [], genesis.id
+    for i in range(4000):
+        blocks.append(make_block(P, tip, timestamp=i + 1))
+        tip = blocks[-1].id
+
+    def allocated(n):
+        tracemalloc.start()
+        try:
+            index = BlockIndex(genesis)
+            for blk in blocks[:n]:
+                index.add(blk)
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    assert allocated(4000) <= 2.3 * allocated(2000)
+
+
+# -- fork views against views built by adds ----------------------------------
+
+
+def assert_same_view(a, b, index):
+    assert a.ids() == b.ids()
+    assert active_set(a) == active_set(b)
+    assert a.digest == b.digest
+    assert a.longest_tip == b.longest_tip
+    assert a.longest_length == b.longest_length
+    for x in index.block_ids():
+        assert (x in a) == (x in b)
+
+
+def test_chain_view_agrees_with_a_view_built_by_adds():
+    rng = random.Random(7)
+    blocks, _, _ = random_tree(rng, 40, 25)
+    genesis = blocks[0]
+    index = BlockIndex(genesis)
+    public = BlockSetView.fresh(index, genesis)
+    for blk in blocks[1:]:
+        public.add(blk)
+    fork = public.chain_view()
+    built = BlockSetView.fresh(index, genesis)
+    for bid in index.ancestry(public.longest_tip)[1:]:
+        built.add(index.block(bid))
+    assert_same_view(fork, built, index)
+
+    chain = index.ancestry(public.longest_tip)
+    mid = chain[len(chain) // 2]
+    stale = make_block(Q, mid, payload="stale grant")     # off a mid-chain block
+    ext = make_block(Q, public.longest_tip, payload="x")  # extends the base tip
+    ext2 = make_block(Q, ext.id, payload="y")
+    for blk in (stale, ext, ext2):
+        index.add(blk)
+    # ext2 parks until ext arrives; chain[3] and chain[-1] are re-adds of
+    # base-chain blocks
+    for msg in (ext2, stale, index.block(chain[3]), ext,
+                index.block(chain[-1]), ext2):
+        assert fork.add(msg) == built.add(msg)
+        assert_same_view(fork, built, index)
+    assert fork.longest_tip == ext2.id
+    assert fork.is_active(stale.id)
+    # a fork of a fork shares the same index and starts from its tip
+    assert_same_view(fork.chain_view(), built.chain_view(), index)
+    # the forked view is untouched by the fork's adds
+    assert ext.id not in public and stale.id not in public

@@ -14,7 +14,7 @@ from permitsim.network import SynchronySchedule
 from permitsim.permitter import PermitRequest, StakePermitter, WorkPermitter
 from permitsim.protocols import (HonestStakeStrategy, HonestWorkStrategy,
                                  KDeepRule, ObserverStrategy, Strategy)
-from permitsim.resource_pool import SIZED, ConstantBalancePool
+from permitsim.resource_pool import SIZED, ConstantBalancePool, ScriptedPool
 
 from conftest import stake_config, work_config
 
@@ -141,6 +141,17 @@ class TestConfigValidation:
         cfg = work_config(balances=balances)
         cfg.processors = cfg.processors[:3]
         with pytest.raises(ConfigError, match="ghost"):
+            run_execution(cfg)
+
+    @pytest.mark.parametrize("segments", [
+        [(1, {"p0": 1, "x": 5})],
+        # x holds 5 of 6 units until slot 10, then nothing
+        [(1, {"p0": 1, "x": 5}), (10, {"p0": 1, "x": 0})],
+    ], ids=["one-segment", "zero-in-the-last-segment"])
+    def test_scripted_pool_balance_for_unowned_group(self, segments):
+        cfg = work_config(processors=1)
+        cfg.pool = ScriptedPool(segments)
+        with pytest.raises(ConfigError, match="'x'"):
             run_execution(cfg)
 
     def test_timed_mismatch(self):

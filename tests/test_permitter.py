@@ -139,6 +139,12 @@ class TestWorkPermitter:
         with pytest.raises(ConfigError):
             WorkPermitter(Fraction(-1, 2))
 
+    @pytest.mark.parametrize("scale", [0, -3])
+    def test_reference_scale_must_be_positive(self, scale):
+        # 0 would divide by zero at the first request; -3 would grant nothing
+        with pytest.raises(ConfigError, match="reference scale"):
+            WorkPermitter(Fraction(1, 4), reference_scale=scale)
+
 
 class TestStakePermitter:
     def test_needs_sized_pool(self):

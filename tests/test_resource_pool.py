@@ -84,6 +84,12 @@ def test_scripted_pool_segments():
     assert pool.total(9) == 4
 
 
+def test_scripted_pool_declares_every_key_that_ever_holds_balance():
+    pool = ScriptedPool([(1, {A: 1, B: 5}), (10, {A: 1, B: 0}),
+                         (20, {A: 0, B: 0, C: 1})])
+    assert pool.declared_keys() == [A, B, C]
+
+
 def test_stake_pool_reward_needs_view():
     pool = StakePool({A: 5}, reward=1)
     # without a view the recorded chain is unknown: genesis stake only

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from permitsim.engine import run_execution
+from permitsim.adversary import StakeWithholdStrategy
+from permitsim.engine import ProcessorSpec, run_execution
 from permitsim.messages import PublicKey
 from permitsim.network import PARTIALLY_SYNCHRONOUS, SynchronySchedule
 from permitsim.permitter import WorkPermitter
@@ -112,6 +113,20 @@ def stake_reward_config():
     return cfg
 
 
+def withheld_reward_config():
+    """A rewarded stake pool where the larger staker withholds its blocks
+    for 20 slots at a time: its grants' message-set digests and its stake
+    reads come from its private fork views."""
+    cfg = stake_reward_config()
+    cfg.label = "withheld-reward"
+    s0 = PublicKey("s0", 0)
+    cfg.processors[0] = ProcessorSpec(
+        id=s0.owner, keys=(s0,),
+        strategy=lambda: StakeWithholdStrategy(period=20, lookahead=6),
+        adversary=True)
+    return cfg
+
+
 CONFIG_DIGESTS = {
     "work_config": "2c8b6c9df740384dce8e40abdef981f1a86386810e589bb8a01f85007f66eca2",
     "stake_config": "2d4908654ce50e3ae456fcc521b87e4856cfffffb4ae336a0ee4f204e2a524f5",
@@ -119,6 +134,7 @@ CONFIG_DIGESTS = {
     "wide_random_config": "d553e2bb4f98a249ce7aa39b6f302b52227d8e96d4bd333e97e05dc6a2418b79",
     "drift_pool_config": "52688951f3b048618c6e32348ccd02a92203fcb49b2a8851161423521d5d4089",
     "stake_reward_config": "1e8476036467855c8a1d97f4c8f3c96d96aab1d6bc895273f0727abc1107d622",
+    "withheld_reward_config": "7e8724240148c8ae3ccf4e572f52e07c8e6e48a39ea686a88432b4423768789d",
 }
 
 
@@ -137,7 +153,8 @@ def test_scenario_transcripts_are_unchanged(case, seed):
 
 @pytest.mark.parametrize("build", [work_config, stake_config,
                                    partitioned_config, wide_random_config,
-                                   drift_pool_config, stake_reward_config],
+                                   drift_pool_config, stake_reward_config,
+                                   withheld_reward_config],
                          ids=lambda b: b.__name__)
 def test_conftest_config_transcripts_are_unchanged(build):
     data = run_execution(build()).to_bytes()

@@ -16,7 +16,7 @@ from .analysis import (check_security, measure_liveness,
                        verify_transcript_invariants)
 from .engine import Transcript
 from .errors import ConfigError, ExecutionFault, TranscriptFormatError
-from .experiment import ExperimentSpec, run_experiment
+from .experiment import ExperimentSpec, run_experiment, run_trials
 from .scenarios import SCENARIOS, HonestWorkLiveness, get_scenario
 
 
@@ -52,6 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="directory for report.json / results.csv")
     p.add_argument("--retain-transcripts", action="store_true",
                    help="also save every trial transcript under --out")
+    _add_jobs(p)
     p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("validate",
@@ -71,8 +72,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated error budgets to probe")
     p.add_argument("--out", help="output path (defaults to the packaged "
                                  "data file)")
+    _add_jobs(p)
     p.set_defaults(handler=_cmd_calibrate)
     return parser
+
+
+def _add_jobs(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--jobs", type=int, default=None, metavar="N",
+                   help="processes that run trials (default: one per usable "
+                        "CPU, at most one per trial); results do not depend "
+                        "on it")
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +121,7 @@ def _cmd_run(args) -> int:
             output_dir=args.out,
             retain_transcripts=args.retain_transcripts,
         )
-    report = run_experiment(spec)
+    report = run_experiment(spec, jobs=args.jobs)
     json.dump({k: report[k] for k in ("label", "scenario", "trials",
                                       "seed_base", "aggregate")},
               sys.stdout, indent=2, default=str)
@@ -162,11 +171,9 @@ def _cmd_calibrate(args) -> int:
 
     scenario = HonestWorkLiveness()
     params = scenario.resolve_params({"duration": args.duration})
-    ells = []
-    for trial in range(args.trials):
-        result = scenario.run_trial(params, args.seed_base + trial)
-        ells.append(result["minimal_uniform_ell"])
-    ells.sort()
+    seeds = range(args.seed_base, args.seed_base + args.trials)
+    ells = sorted(row["minimal_uniform_ell"] for row in
+                  run_trials(scenario, params, seeds, jobs=args.jobs))
 
     # empirical (1 - eps)-quantiles, then a least-squares log-form fit
     points = []

@@ -24,6 +24,11 @@ class ExecutionFault(RuntimeError):
         self.clause = clause
         super().__init__(f"processor {processor!r} at slot {slot}: {clause}")
 
+    def __reduce__(self):
+        # rebuilt from its fields, so that a fault raised in a worker
+        # process reaches the caller as itself
+        return type(self), (self.processor, self.slot, self.clause)
+
 
 class ScheduleViolationError(ValueError):
     """A timing rule is inconsistent with the synchrony schedule."""

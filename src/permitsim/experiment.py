@@ -10,6 +10,14 @@ and `canonical_report_bytes` strips it for comparisons.
 Specs load from YAML (or plain dicts) with strict key checking: unknown
 keys anywhere are errors naming the offending path, because a silently
 ignored parameter in a measurement config is worse than a crash.
+
+Because a trial is a pure function of its seed, `run_trials` may run the
+trials of one experiment in several processes: the caller forks a worker
+per spare CPU, deals the trials round-robin, runs its own share and puts
+the rows back in trial order.  The number of processes (``jobs``) is
+therefore not part of the spec and not recorded in the report; the
+report, ``results.csv`` and every retained transcript are byte-identical
+for every ``jobs``.
 """
 
 from __future__ import annotations
@@ -19,6 +27,8 @@ import datetime as _dt
 import hashlib
 import io
 import json
+import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -142,7 +152,135 @@ def transcript_digest(transcript) -> str:
     return hashlib.sha256(transcript.to_bytes()).hexdigest()
 
 
-def run_experiment(spec: ExperimentSpec) -> dict:
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def run_trials(scenario: Scenario, params: dict, seeds, transcript_dir=None,
+               jobs: int | None = None) -> list[dict]:
+    """``scenario.run_trial(params, seed, transcript_dir)`` for each seed,
+    in seed order, in up to ``jobs`` processes.
+
+    ``jobs=None`` means one process per usable CPU, and never more than
+    there are trials.  With one job, or where ``os.fork`` is missing, the
+    trials run one after another in this process.  Otherwise this
+    process forks ``jobs - 1`` children and deals the trials round-robin:
+    trial ``i`` runs in worker ``i % jobs``, and worker 0 is the caller,
+    so whatever instruments the caller still sees trial calls.  A child
+    pickles its rows, or its first exception with that trial's index,
+    into a pipe and leaves with ``os._exit``.  The caller must not be
+    running other threads when it forks.
+
+    As in a serial loop, the error raised is the one of the lowest-index
+    failing trial.  A child that dies without a result raises a
+    ``RuntimeError`` naming its seeds.  No child outlives the call.
+    """
+    seeds = list(seeds)
+    if jobs is None:
+        jobs = usable_cpus()
+    elif jobs < 1:
+        raise ConfigError("jobs must be at least 1")
+    jobs = min(jobs, len(seeds))
+    if jobs <= 1 or not hasattr(os, "fork"):
+        return [scenario.run_trial(params, seed, transcript_dir)
+                for seed in seeds]
+    return _run_forked(scenario, params, seeds, transcript_dir, jobs)
+
+
+def _run_forked(scenario, params, seeds, transcript_dir, jobs):
+    import pickle
+    import signal
+
+    def share(worker):
+        """(rows, None), or (rows before the failure, (index, exception))."""
+        rows = []
+        for i in range(worker, len(seeds), jobs):
+            try:
+                rows.append(scenario.run_trial(params, seeds[i],
+                                               transcript_dir))
+            except Exception as exc:
+                return rows, (i, exc)
+        return rows, None
+
+    def sendable(outcome):
+        rows, failure = outcome
+        if failure is not None:
+            index, exc = failure
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            failure = index, exc
+        return rows, failure
+
+    # flushed so that no child writes out the caller's buffered output
+    sys.stdout.flush()
+    sys.stderr.flush()
+    readers = {}  # worker -> the read end of its pipe
+    pids = {}     # worker -> pid, until the child is reaped
+    try:
+        for worker in range(1, jobs):
+            read_fd, write_fd = os.pipe()
+            readers[worker] = os.fdopen(read_fd, "rb")
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(write_fd)
+                raise
+            if pid == 0:  # the child: run its share, send it, leave
+                status = 1
+                try:
+                    for reader in readers.values():
+                        reader.close()
+                    outcome = sendable(share(worker))
+                    with os.fdopen(write_fd, "wb") as fh:
+                        pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
+                    sys.stdout.flush()
+                    sys.stderr.flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids[worker] = pid
+            os.close(write_fd)
+
+        outcomes = {0: share(0)}
+        for worker in range(1, jobs):
+            failed = [f[0] for _, f in outcomes.values() if f is not None]
+            if failed and min(failed) < worker:
+                break  # the rest ran only later trials; killed below
+            with readers[worker] as reader:
+                data = reader.read()
+            _, status = os.waitpid(pids.pop(worker), 0)
+            try:
+                outcomes[worker] = pickle.loads(data)
+            except Exception:  # nothing, or a cut-off result
+                outcomes[worker] = [], (worker, RuntimeError(
+                    f"worker process for seeds {seeds[worker::jobs]} "
+                    f"exited with status {os.waitstatus_to_exitcode(status)} "
+                    f"without a result"))
+    finally:
+        for reader in readers.values():
+            reader.close()
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    failures = [f for _, f in outcomes.values() if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    rows = [None] * len(seeds)
+    for worker, (worker_rows, _) in outcomes.items():
+        rows[worker::jobs] = worker_rows
+    return rows
+
+
+def run_experiment(spec: ExperimentSpec, *, jobs: int | None = None) -> dict:
+    """Run the spec's trials and build its report; ``jobs`` is passed to
+    `run_trials` and changes nothing in the report."""
     from .scenarios import get_scenario  # local import; scenarios import us
 
     scenario = get_scenario(spec.scenario)
@@ -153,12 +291,10 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         transcript_dir = Path(spec.output_dir) / "transcripts"
         transcript_dir.mkdir(parents=True, exist_ok=True)
 
-    results = []
-    for trial in range(spec.trials):
-        seed = spec.seed_base + trial
-        result = scenario.run_trial(params, seed, transcript_dir)
-        result = {"trial": trial, "seed": seed, **result}
-        results.append(result)
+    seeds = [spec.seed_base + trial for trial in range(spec.trials)]
+    rows = run_trials(scenario, params, seeds, transcript_dir, jobs)
+    results = [{"trial": trial, "seed": seed, **row}
+               for trial, (seed, row) in enumerate(zip(seeds, rows))]
 
     report = {
         "label": spec.label or scenario.name,

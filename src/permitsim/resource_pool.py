@@ -27,6 +27,9 @@ from .messages import PublicKey
 SIZED = "sized"
 UNSIZED = "unsized"
 
+# (tip, cutoff) pairs whose seasoned-signer lists a StakePool keeps
+_SEASONED_MEMO = 256
+
 
 def as_fraction(value) -> Fraction:
     """Exact fraction from int, float literal, 'p/q' string, or Fraction."""
@@ -162,15 +165,26 @@ class StakePool(ResourcePool):
         self.min_recording_age = int(min_recording_age)
         if self.reward < 0:
             raise ConfigError("block reward cannot be negative")
+        # (tip, cutoff) -> the seasoned signers, oldest entry first
+        self._seasoned: dict[tuple[str, int], list[PublicKey]] = {}
 
     def _seasoned_signers(self, slot: int, view) -> list[PublicKey]:
         """The signer of each block on the longest chain of ``view`` that
         is at least ``min_recording_age`` slots old at ``slot``; the chain
         is read through the block index, which also holds the part a fork
-        view shares with the view it forked from."""
-        cutoff = slot - self.min_recording_age
-        return [msg.signer for msg in view.index.chain(view.longest_tip)
-                if msg.signer is not None and (msg.timestamp or 0) <= cutoff]
+        view shares with the view it forked from.  Walked once per (tip,
+        cutoff): a block id fixes its whole chain, so the list holds in
+        every view and execution with that tip."""
+        tip, cutoff = view.longest_tip, slot - self.min_recording_age
+        signers = self._seasoned.get((tip, cutoff))
+        if signers is None:
+            signers = [msg.signer for msg in view.index.chain(tip)
+                       if msg.signer is not None
+                       and (msg.timestamp or 0) <= cutoff]
+            if len(self._seasoned) >= _SEASONED_MEMO:
+                del self._seasoned[next(iter(self._seasoned))]
+            self._seasoned[tip, cutoff] = signers
+        return signers
 
     def balance_of(self, key: PublicKey, slot: int, view=None) -> Fraction:
         base = self._balances.get(key, Fraction(0))

@@ -7,6 +7,8 @@ import pytest
 from permitsim.analysis import EllTable
 from permitsim.cli import main
 from permitsim.engine import Transcript, run_execution
+from permitsim.errors import ExecutionFault
+from permitsim.experiment import Scenario
 from permitsim.scenarios import SCENARIOS
 
 from conftest import work_config
@@ -89,6 +91,49 @@ class TestRun:
             capsys, "run", "--scenario", "honest_work_liveness",
             "--set", "duration")
         assert code == 2 and "KEY=VALUE" in err
+
+    def test_jobs_below_one_is_a_configuration_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "run", "--scenario", "honest_work_liveness",
+            "--trials", "2", "--jobs", "0")
+        assert code == 2 and "jobs" in err
+
+    def test_jobs_do_not_change_the_artifacts(self, capsys, tmp_path):
+        outputs = []
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / jobs
+            code, out, _ = run_cli(
+                capsys, "run", "--scenario", "honest_work_liveness",
+                "--trials", "3", "--set", "duration=100", "--jobs", jobs,
+                "--out", str(out_dir), "--retain-transcripts")
+            assert code == 0
+            outputs.append((out, (out_dir / "results.csv").read_bytes(),
+                            {p.name: p.read_bytes() for p in
+                             (out_dir / "transcripts").iterdir()}))
+        assert outputs[0] == outputs[1]
+
+    def test_a_fault_in_a_worker_exits_1_with_its_message(self, capsys,
+                                                         monkeypatch):
+        class SecondTrialFaults(Scenario):
+            name = "second_trial_faults"
+
+            def run_trial(self, params, seed, transcript_dir=None):
+                if seed == 1:
+                    raise ExecutionFault("p1", 7, "message is not permitted")
+                return {}
+
+        monkeypatch.setitem(SCENARIOS, SecondTrialFaults.name,
+                            SecondTrialFaults())
+        errors = []
+        for jobs in ("1", "2"):
+            code, _, err = run_cli(capsys, "run", "--scenario",
+                                   "second_trial_faults", "--trials", "2",
+                                   "--jobs", jobs)
+            assert code == 1
+            errors.append(err)
+        assert errors[0] == errors[1] == (
+            "execution fault: processor 'p1' at slot 7: "
+            "message is not permitted\n")
 
 
 class TestValidate:
@@ -179,6 +224,23 @@ class TestCalibrate:
         table = EllTable(data["form"], data["a"], data["b"])
         assert table.ell(0.1) >= 1
         assert set(data["fitted_from"]["quantiles"]) == {"0.5", "0.25", "0.1"}
+
+    def test_jobs_do_not_change_the_table(self, capsys, tmp_path):
+        tables = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"table{jobs}.json"
+            code, _, _ = run_cli(
+                capsys, "calibrate-ell", "--trials", "10", "--duration",
+                "150", "--jobs", jobs, "--out", str(out))
+            assert code == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+
+    def test_jobs_below_one_is_a_configuration_error(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "calibrate-ell", "--trials", "10", "--jobs", "0",
+            "--out", str(tmp_path / "t.json"))
+        assert code == 2 and "jobs" in err
 
     def test_needs_enough_trials(self, capsys, tmp_path):
         code, _, err = run_cli(

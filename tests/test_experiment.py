@@ -2,14 +2,18 @@
 
 import csv
 import json
+import os
+import pickle
+import time
 
 import pytest
 
-from permitsim.errors import ConfigError
-from permitsim.experiment import (ExperimentSpec, canonical_report_bytes,
-                                  run_experiment, transcript_digest,
-                                  write_report)
-from permitsim.scenarios import get_scenario
+from permitsim import experiment
+from permitsim.errors import ConfigError, ExecutionFault
+from permitsim.experiment import (ExperimentSpec, Scenario,
+                                  canonical_report_bytes, run_experiment,
+                                  run_trials, transcript_digest, write_report)
+from permitsim.scenarios import SCENARIOS, get_scenario
 
 
 SMALL = {"scenario": "honest_work_liveness",
@@ -187,3 +191,214 @@ class TestReportSerialization:
         write_report({"results": []}, tmp_path)
         assert (tmp_path / "report.json").exists()
         assert not (tmp_path / "results.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# trials in several processes
+# ---------------------------------------------------------------------------
+
+
+class ScriptedTrials(Scenario):
+    """A test scenario: ``actions[seed](seed)`` runs before a trial's row,
+    which records the seed and the process that ran it."""
+
+    name = "scripted_trials"
+
+    def __init__(self, actions=None):
+        self.actions = actions or {}
+        self.calls = []  # seeds run in this process
+
+    def run_trial(self, params, seed, transcript_dir=None):
+        self.calls.append(seed)
+        if seed in self.actions:
+            self.actions[seed](seed)
+        return {"double": 2 * seed, "pid": os.getpid()}
+
+
+@pytest.fixture
+def scripted(monkeypatch):
+    def register(actions=None):
+        scenario = ScriptedTrials(actions)
+        monkeypatch.setitem(SCENARIOS, scenario.name, scenario)
+        return scenario
+    return register
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail(seed):
+    raise ValueError(f"trial seed {seed} failed")
+
+
+def sleep(seed):
+    time.sleep(30)
+
+
+def interrupt(seed):
+    raise KeyboardInterrupt
+
+
+def fault(seed):
+    raise ExecutionFault(f"p{seed}", 7, "message is not permitted")
+
+
+def run_scripted(trials, jobs):
+    return run_experiment(ExperimentSpec(scenario="scripted_trials",
+                                         trials=trials), jobs=jobs)
+
+
+class TestRunTrials:
+    def test_rows_return_in_trial_order_dealt_round_robin(self, scripted):
+        scenario = scripted()
+        report = run_scripted(7, 3)
+        rows = report["results"]
+        assert [(r["trial"], r["seed"], r["double"]) for r in rows] == \
+            [(i, i, 2 * i) for i in range(7)]
+        pids = [r["pid"] for r in rows]
+        assert pids[0::3] == [os.getpid()] * 3
+        assert len({pids[1], pids[2], os.getpid()}) == 3
+        assert pids[1::3] == [pids[1]] * 2 and pids[2::3] == [pids[2]] * 2
+        assert scenario.calls == [0, 3, 6]  # the caller ran its share
+        assert_no_children()
+
+    def test_one_job_is_the_serial_loop(self, scripted):
+        scenario = scripted()
+        rows = run_scripted(3, 1)["results"]
+        assert {r["pid"] for r in rows} == {os.getpid()}
+        assert scenario.calls == [0, 1, 2]
+
+    def test_default_is_one_job_per_usable_cpu_and_trial(self, scripted,
+                                                         monkeypatch):
+        scenario = scripted()
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 1)
+        run_scripted(3, None)
+        assert scenario.calls == [0, 1, 2]
+        scenario.calls.clear()
+        monkeypatch.setattr(experiment, "usable_cpus", lambda: 8)
+        rows = run_scripted(2, None)["results"]
+        assert scenario.calls == [0]  # two trials: one child, not seven
+        assert rows[1]["pid"] != os.getpid()
+        assert_no_children()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="no CPU affinity call on this platform")
+    def test_usable_cpus_is_the_affinity_mask(self):
+        assert experiment.usable_cpus() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_is_a_config_error(self, scripted, jobs):
+        scripted()
+        with pytest.raises(ConfigError, match="jobs"):
+            run_scripted(2, jobs)
+        with pytest.raises(ConfigError, match="jobs"):
+            run_trials(ScriptedTrials(), {}, [], jobs=jobs)
+
+    @pytest.mark.parametrize("failing,first", [
+        ((2, 3, 5), 2),   # lowest failure in the caller's share
+        ((1, 4), 1),      # lowest failure in a child's share
+        ((3, 5), 3),      # only children fail
+    ])
+    def test_the_lowest_failing_trial_raises(self, scripted, failing, first):
+        scripted({seed: fail for seed in failing})
+        for jobs in (1, 2, 3):
+            with pytest.raises(ValueError,
+                               match=f"^trial seed {first} failed$"):
+                run_scripted(6, jobs)
+            assert_no_children()
+
+    def test_a_child_that_dies_without_a_result_is_named(self, scripted):
+        scripted({3: lambda seed: os._exit(3)})
+        with pytest.raises(RuntimeError,
+                           match=r"seeds \[1, 3\] exited with status 3 "
+                                 r"without a result"):
+            run_scripted(4, 2)
+        assert_no_children()
+
+    def test_a_caller_failure_stops_children_with_later_trials(self,
+                                                               scripted):
+        scripted({0: fail, 1: sleep, 2: sleep})
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="trial seed 0"):
+            run_scripted(3, 3)
+        assert time.monotonic() - start < 20
+        assert_no_children()
+
+    def test_an_interrupt_in_the_callers_share_leaves_no_child(self,
+                                                               scripted):
+        scripted({0: interrupt, 1: sleep})
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_scripted(2, 2)
+        assert time.monotonic() - start < 20
+        assert_no_children()
+
+    def test_an_execution_fault_crosses_processes_as_itself(self, scripted):
+        scripted({1: fault})
+        raised = []
+        for jobs in (1, 2):
+            with pytest.raises(ExecutionFault) as info:
+                run_scripted(3, jobs)
+            raised.append(info.value)
+        serial, forked = raised
+        assert type(forked) is ExecutionFault
+        assert (forked.processor, forked.slot, forked.clause, str(forked)) \
+            == (serial.processor, serial.slot, serial.clause, str(serial))
+        assert_no_children()
+
+    def test_an_exception_that_cannot_be_pickled_arrives_as_text(self,
+                                                                 scripted):
+        class Local(Exception):
+            pass
+
+        def raise_local(seed):
+            raise Local(f"local {seed}")
+
+        scripted({1: raise_local})
+        with pytest.raises(RuntimeError, match="^Local: local 1$"):
+            run_scripted(2, 2)
+        assert_no_children()
+
+
+def test_execution_fault_pickles():
+    fault = ExecutionFault("p0", 3, "bad")
+    back = pickle.loads(pickle.dumps(fault))
+    assert type(back) is ExecutionFault
+    assert (back.processor, back.slot, back.clause) == ("p0", 3, "bad")
+    assert str(back) == str(fault) == "processor 'p0' at slot 3: bad"
+
+
+# small parameters, three trials each, for every built-in scenario
+SMALL_RUNS = {
+    "honest_work_liveness": {"duration": 120, "processors": 2},
+    "work_double_spend": {"duration": 250, "q": "1/3", "confirm_k": 2},
+    "simulation_release": {"duration": 300, "maj_keys": 2, "min_keys": 2},
+    "isolated_observers": {"duration": 300, "q": "1/3", "confirm_k": 2},
+    "stake_density_certificates": {"duration": 300},
+    "union_bound_recalibration": {},
+}
+
+
+def test_small_runs_cover_every_scenario():
+    assert set(SMALL_RUNS) == set(SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+def test_three_jobs_give_the_bytes_of_one(name, tmp_path):
+    outputs = []
+    for jobs in (1, 3):
+        out = tmp_path / f"jobs{jobs}"
+        report = run_experiment(ExperimentSpec(
+            scenario=name, trials=3, params=SMALL_RUNS[name],
+            output_dir=str(out), retain_transcripts=True), jobs=jobs)
+        transcripts = out / "transcripts"
+        outputs.append((
+            canonical_report_bytes(report),
+            (out / "results.csv").read_bytes(),
+            {p.name: p.read_bytes() for p in transcripts.iterdir()}))
+    assert outputs[0] == outputs[1]
+    if name != "union_bound_recalibration":  # it saves no transcript
+        assert len(outputs[0][2]) >= 3
+    assert_no_children()

@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from permitsim.blocktree import BlockIndex
+from permitsim.engine import run_execution
 from permitsim.errors import ConfigError
 from permitsim.messages import PublicKey
 from permitsim.resource_pool import (SIZED, UNSIZED, ConstantBalancePool,
                                      ScriptedPool, StakePool, dominates,
                                      is_q_bounded, sample_unsized_pool)
+
+from conftest import build_chain
 
 A = PublicKey("a", 0)
 B = PublicKey("b", 0)
@@ -88,6 +92,50 @@ def test_scripted_pool_declares_every_key_that_ever_holds_balance():
     pool = ScriptedPool([(1, {A: 1, B: 5}), (10, {A: 1, B: 0}),
                          (20, {A: 0, B: 0, C: 1})])
     assert pool.declared_keys() == [A, B, C]
+
+
+def test_rewarded_stake_pool_walks_each_chain_once_per_cutoff(monkeypatch):
+    from test_transcript_digests import withheld_reward_config
+
+    walks, asked = [], set()
+    chain = BlockIndex.chain
+    balance_of, total = StakePool.balance_of, StakePool.total
+
+    def counted_chain(index, tip):
+        walks.append(tip)
+        return chain(index, tip)
+
+    def counted_balance_of(pool, key, slot, view=None):
+        asked.add((view.longest_tip, slot - pool.min_recording_age))
+        return balance_of(pool, key, slot, view)
+
+    def counted_total(pool, slot, view=None):
+        asked.add((view.longest_tip, slot - pool.min_recording_age))
+        return total(pool, slot, view)
+
+    monkeypatch.setattr(BlockIndex, "chain", counted_chain)
+    monkeypatch.setattr(StakePool, "balance_of", counted_balance_of)
+    monkeypatch.setattr(StakePool, "total", counted_total)
+    run_execution(withheld_reward_config())
+    # both reads of a request share one walk, and the withholder's fork
+    # views share the walks of the public chain's tips
+    assert len(walks) == len(asked) > 100
+
+
+def test_stake_pool_balances_follow_the_seasoned_chain(index, view):
+    pool = StakePool({A: 2, B: 1}, reward=1, min_recording_age=3)
+    for blk in build_chain(index, A, 3, timestamp=lambda i: i + 1):
+        view.add(blk)
+    # blocks at slots 1, 2, 3 season at 4, 5, 6
+    assert [pool.balance_of(A, s, view) for s in (3, 4, 5, 6, 9)] == \
+        [2, 3, 4, 5, 5]
+    assert pool.balance_of(B, 9, view) == 1
+    assert pool.total(9, view) == 6
+    fork = view.chain_view()
+    (blk,) = build_chain(index, B, 1, parent=fork.longest_tip, timestamp=4)
+    fork.add(blk)
+    assert pool.balance_of(B, 7, fork) == 2 and pool.total(7, fork) == 7
+    assert pool.balance_of(B, 7, view) == 1 and pool.total(7, view) == 6
 
 
 def test_stake_pool_reward_needs_view():

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .blocktree import BlockIndex, BlockSetView
 from .errors import (ConfigError, DanglingBlockError, ExecutionFault,
@@ -61,9 +62,10 @@ class ProcessorSpec:
     adversary: bool = False
     describe: dict = field(default_factory=dict)
 
-    @property
-    def groups(self) -> set[str]:
-        return {k.owner for k in self.keys}
+    @cached_property
+    def groups(self) -> frozenset[str]:
+        """The key groups of ``keys``, computed on first use."""
+        return frozenset(k.owner for k in self.keys)
 
 
 @dataclass

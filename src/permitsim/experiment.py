@@ -33,8 +33,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-import yaml
-
 from .errors import ConfigError
 
 _SPEC_KEYS = {"scenario", "trials", "seed_base", "params", "output", "label"}
@@ -75,20 +73,40 @@ class ExperimentSpec:
         unknown = set(output) - _OUTPUT_KEYS
         if unknown:
             raise ConfigError(f"{source}.output: unknown keys {sorted(unknown)}")
+        for name, value in (("output.directory", output.get("directory")),
+                            ("label", data.get("label"))):
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{source}.{name}: expected a string, "
+                                  f"got {value!r}")
         return cls(
             scenario=str(data["scenario"]),
-            trials=int(data.get("trials", 1)),
-            seed_base=int(data.get("seed_base", 0)),
+            trials=_integer(data.get("trials", 1), f"{source}.trials"),
+            seed_base=_integer(data.get("seed_base", 0), f"{source}.seed_base"),
             params=dict(params),
             output_dir=output.get("directory"),
-            retain_transcripts=bool(output.get("retain_transcripts", False)),
+            retain_transcripts=_coerce(output.get("retain_transcripts", False),
+                                       False,
+                                       f"{source}.output.retain_transcripts"),
             label=data.get("label"),
         )
 
     @classmethod
     def from_yaml(cls, path) -> "ExperimentSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+        import yaml  # only spec files need it; keeps it out of the import
+
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = yaml.safe_load(fh)
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read the spec file "
+                              f"({exc.strerror or exc})") from None
+        except (UnicodeDecodeError, yaml.YAMLError) as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = (f" at line {mark.line + 1}, column {mark.column + 1}"
+                     if mark is not None else "")
+            problem = getattr(exc, "problem", None) or exc
+            raise ConfigError(f"{path}: not a valid YAML spec "
+                              f"({problem}{where})") from None
         return cls.from_dict(data, source=str(path))
 
 
@@ -117,6 +135,19 @@ class Scenario:
         return {}
 
 
+def _integer(value, path: str) -> int:
+    """An integral config value as an int: an int, an integral float or a
+    decimal string; a bool or a fraction is refused, not truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{path}: expected an integer, got {value!r}")
+
+
 def _coerce(value, default, path: str):
     """Coerce an override (possibly a CLI string) to the default's type."""
     if isinstance(default, bool):
@@ -126,11 +157,10 @@ def _coerce(value, default, path: str):
             return value.lower() == "true"
         raise ConfigError(f"{path}: expected true/false, got {value!r}")
     if isinstance(default, int) and not isinstance(default, bool):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
+        return _integer(value, path)
     if isinstance(default, float):
+        if isinstance(value, bool):
+            raise ConfigError(f"{path}: expected a number, got {value!r}")
         try:
             return float(Fraction(value) if isinstance(value, str) else value)
         except (TypeError, ValueError, ZeroDivisionError):

@@ -7,18 +7,20 @@ identity is a SHA-256 digest of the canonical body encoding plus the
 signer, so two executions that construct the same content produce the
 same ids — a property the paired-execution experiments rely on.
 
-Keys are plain labels with an index.  The ``owner`` field names the key
-group a key was minted in; the roster assigns whole groups to processors,
-and two processors never share a group.  Decoupling key identity from
-processor identity lets one execution hand a group to an honest processor
-and another execution hand the same group to an adversary while keeping
-every derived random draw identical.
+Keys are plain labels with an index, held as named tuples.  The
+``owner`` field names the key group a key was minted in; the roster
+assigns whole groups to processors, and two processors never share a
+group.  Decoupling key identity from processor identity lets one
+execution hand a group to an honest processor and another execution hand
+the same group to an adversary while keeping every derived random draw
+identical.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 BLOCK = "block"
@@ -30,12 +32,14 @@ GENESIS_ID_PREFIX = "g:"
 CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True, order=True)
-class PublicKey:
-    """A public key: group label plus mint index."""
+class PublicKey(namedtuple("PublicKey", ("owner", "index"), defaults=(0,))):
+    """A public key: group label plus mint index.
 
-    owner: str
-    index: int = 0
+    A tuple, so keys hash, compare and order in C wherever they key a
+    dict or a set; a key equals the plain tuple ``(owner, index)``.
+    """
+
+    __slots__ = ()
 
     def label(self) -> str:
         return f"{self.owner}/{self.index}"

@@ -28,6 +28,16 @@ A 64-bit draw is granted when it lies below the key's integer cutoff,
 total never change, so each permitter computes a key's cutoff once per
 pool and reuses it; for any other pool the threshold is rebuilt in exact
 fractions on every request.
+
+A draw is ``rng.substream_u64(seed, tag, owner, index, *rest)`` with the
+tag ``"work"`` or ``"stake"``.  Each permitter keeps an ``rng.Prefix``,
+the SHA-256 state after ``(seed, tag, owner, index)``, per (seed, key),
+so a request hashes only its own labels.  The work permitter also keeps,
+per key, the encoded ``(m_digest, candidate id)`` tail of the key's last
+request: an honest miner presents the same message set and candidate
+every slot between blocks, so such a request encodes only its slot, and
+that encoding too is kept for the slot last drawn in, since every key
+requests once per slot.  Neither cache changes a draw.
 """
 
 from __future__ import annotations
@@ -114,29 +124,34 @@ def _cutoff(threshold: Fraction) -> int:
 
 
 class _Lottery:
-    """A balance-weighted lottery's integer grant cutoffs.
+    """A balance-weighted lottery's integer grant cutoffs and draws.
 
     Subclasses give the threshold min(1, rate * balance / scale) through
     ``_scale``.  A cutoff is cached per (pool, key) only while the pool
     is constant; a zero balance gives cutoff 0, which denies every draw.
+    Draws come from a per-(seed, key) ``rng.Prefix`` of the subclass's
+    ``tag``.
     """
+
+    tag = ""
 
     def __init__(self, rate):
         self.rate = as_fraction(rate)
         self._cutoffs: dict[tuple[ResourcePool, PublicKey], int] = {}
+        self._prefixes: dict[tuple[int, PublicKey], rng.Prefix] = {}
 
     def _scale(self, pool: ResourcePool, slot: int, view) -> Fraction:
         raise NotImplementedError
 
     def _cutoff_for(self, pool: ResourcePool, key: PublicKey, slot: int,
                     view) -> int:
-        if not pool.is_constant:
-            return self._fresh_cutoff(pool, key, slot, view)
-        cached = self._cutoffs.get((pool, key))
-        if cached is None:
-            cached = self._fresh_cutoff(pool, key, slot, view)
-            self._cutoffs[(pool, key)] = cached
-        return cached
+        cutoff = self._cutoffs.get((pool, key))
+        if cutoff is not None:  # only constant pools are cached
+            return cutoff
+        cutoff = self._fresh_cutoff(pool, key, slot, view)
+        if pool.is_constant:
+            self._cutoffs[(pool, key)] = cutoff
+        return cutoff
 
     def _fresh_cutoff(self, pool: ResourcePool, key: PublicKey, slot: int,
                       view) -> int:
@@ -145,6 +160,12 @@ class _Lottery:
             return 0  # hard rule: zero balance is never granted
         return _cutoff(min(Fraction(1),
                            self.rate * balance / self._scale(pool, slot, view)))
+
+    def _new_prefix(self, seed: int, key: PublicKey) -> rng.Prefix:
+        """The hash state of (seed, tag, owner, index), made on first use."""
+        prefix = self._prefixes[(seed, key)] = rng.Prefix(
+            seed, self.tag, key.owner, key.index)
+        return prefix
 
 
 class WorkPermitter(_Lottery):
@@ -157,6 +178,7 @@ class WorkPermitter(_Lottery):
     """
 
     setting = PermitterSetting(timed=False, budget=SINGLE)
+    tag = "work"
 
     def __init__(self, rate, *, reference_scale=None):
         super().__init__(rate)
@@ -167,6 +189,10 @@ class WorkPermitter(_Lottery):
         )
         if self.reference_scale is not None and self.reference_scale <= 0:
             raise ConfigError("reference scale must be positive")
+        # key -> (m_digest, candidate id, their encoding) of its last draw
+        self._tails: dict[PublicKey, tuple[int, str, bytes]] = {}
+        self._slot = None  # the last slot drawn for, and its encoding
+        self._slot_bytes = b""
 
     def _scale(self, pool: ResourcePool, slot: int, view) -> Fraction:
         if pool.mode == SIZED:
@@ -177,27 +203,27 @@ class WorkPermitter(_Lottery):
 
     def respond(self, request: PermitRequest, pool: ResourcePool, slot: int,
                 seed: int) -> PermitResponse:
-        key = request.key
-        denied = PermitResponse(key=key)
-        view = request.view
+        key, view = request.key, request.view
         cutoff = self._cutoff_for(pool, key, slot, view)
-        if cutoff == 0:
-            return denied
         cand = request.candidate
-        if cand is None or not cand.is_block or cand.signer != key:
-            return denied
-        if cand.timestamp is not None:
-            return denied  # untimed blocks carry no timestamp
-        parent = cand.parent
-        if parent is None or not view.is_active(parent):
-            return denied
-        if view.index.height(parent) + 1 != view.longest_length:
-            return denied  # parent is not a tip of a longest chain in M
-        draw = rng.substream_u64(seed, "work", key.owner, key.index, slot,
-                                 request.m_digest, cand.id)
-        if draw < cutoff:
+        parent = cand.parent if cand is not None else None
+        if (cutoff == 0 or parent is None or not cand.is_block
+                or cand.signer != key
+                or cand.timestamp is not None  # untimed blocks carry none
+                or not view.is_active(parent)
+                # the parent must be a tip of a longest chain in M
+                or view.index.height(parent) + 1 != view.longest_length):
+            return PermitResponse(key=key)
+        m_digest, cid = request.m_digest, cand.id
+        tail = self._tails.get(key)
+        if tail is None or tail[0] != m_digest or tail[1] != cid:
+            tail = self._tails[key] = (m_digest, cid, rng.encode(m_digest, cid))
+        if slot != self._slot:
+            self._slot, self._slot_bytes = slot, rng.encode(slot)
+        prefix = self._prefixes.get((seed, key)) or self._new_prefix(seed, key)
+        if prefix.u64_of(self._slot_bytes + tail[2]) < cutoff:
             return PermitResponse(key=key, granted=(cand,))
-        return denied
+        return PermitResponse(key=key)
 
 
 class StakePermitter(_Lottery):
@@ -211,6 +237,7 @@ class StakePermitter(_Lottery):
     """
 
     setting = PermitterSetting(timed=True, budget=MULTI)
+    tag = "stake"
 
     def __init__(self, rate, *, lookahead: int = 8):
         super().__init__(rate)
@@ -233,20 +260,17 @@ class StakePermitter(_Lottery):
                 seed: int) -> PermitResponse:
         key = request.key
         target = request.target_slot
-        denied = PermitResponse(key=key, target_slot=target)
-        if request.candidate is not None:
-            return denied  # multi-budget requests carry no candidate
-        if target is None or target < 1 or target > slot + self.lookahead:
-            return denied
+        if (request.candidate is not None  # multi-budget: no candidate
+                or target is None or target < 1
+                or target > slot + self.lookahead):
+            return PermitResponse(key=key, target_slot=target)
         cutoff = self._cutoff_for(pool, key, target, request.view)
-        if cutoff == 0:
-            return denied
-        draw = rng.substream_u64(seed, "stake", key.owner, key.index, target)
-        if draw < cutoff:
+        prefix = self._prefixes.get((seed, key)) or self._new_prefix(seed, key)
+        if cutoff and prefix.u64_of(rng.encode(target)) < cutoff:
             return PermitResponse(
                 key=key, leader=LeaderGrant(key=key, slot=target), target_slot=target
             )
-        return denied
+        return PermitResponse(key=key, target_slot=target)
 
 
 def enforce_request_budget(requests: list[PermitRequest],

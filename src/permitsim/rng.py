@@ -14,6 +14,15 @@ hash of the canonically encoded label tuple, so:
 The last two properties are what make paired-execution experiments
 meaningful: an attacker privately re-deriving another roster's behaviour
 sees exactly the grant sequence that roster would have seen.
+
+SHA-256 is a streaming hash and the label encoding is the concatenation
+of each part's own encoding, so the hash state after ``str(seed)`` and a
+fixed run of leading labels can be kept and copied for every draw that
+shares them.  A ``Prefix`` is that state:
+``Prefix(seed, *a).u64_of(encode(*b))`` equals
+``substream_u64(seed, *a, *b)`` for every split of a label tuple, and
+costs one state copy, one update and one digest per draw.  The
+permitters keep one per (seed, key) for their lottery draws.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ import struct
 
 _U64 = 2**64
 _length = struct.Struct("<I").pack  # a part's 4-byte little-endian length
+_first_u64 = struct.Struct("<Q").unpack_from  # a digest's first 8 bytes
 
 
 def _encode(parts: tuple) -> bytes:
@@ -58,10 +68,33 @@ def _encode(parts: tuple) -> bytes:
     return bytes(out)
 
 
+def encode(*parts) -> bytes:
+    """The canonical encoding of the labels ``parts``, as ``Prefix.u64_of``
+    takes it."""
+    return _encode(parts)
+
+
 def substream_u64(seed: int, *parts) -> int:
     """A 64-bit value tied to (seed, *parts)."""
     digest = hashlib.sha256(str(seed).encode() + _encode(parts)).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+class Prefix:
+    """The hash state of ``(seed, *parts)``, to draw ``substream_u64`` for
+    any labels that extend ``parts``."""
+
+    __slots__ = ("_state",)
+
+    def __init__(self, seed: int, *parts):
+        self._state = hashlib.sha256(str(seed).encode() + _encode(parts))
+
+    def u64_of(self, encoded: bytes) -> int:
+        """``substream_u64(seed, *parts, *rest)`` where ``encoded`` is
+        ``encode(*rest)``."""
+        state = self._state.copy()
+        state.update(encoded)
+        return _first_u64(state.digest())[0]
 
 
 def uniform(seed: int, *parts) -> float:

@@ -92,6 +92,48 @@ class TestRun:
             "--set", "duration")
         assert code == 2 and "KEY=VALUE" in err
 
+    @pytest.mark.parametrize("text, named", [
+        ("trials: many\n", "trials"),
+        ("trials: 1.9\n", "trials"),
+        ("trials: true\n", "trials"),
+        ("seed_base: [1]\n", "seed_base"),
+        ("params:\n  duration: 2.5\n", "params.duration"),
+        ("params:\n  processors: true\n", "params.processors"),
+        ("output:\n  retain_transcripts: maybe\n", "retain_transcripts"),
+        ("output:\n  directory: 5\n", "output.directory"),
+        ("label: [1, 2]\n", "label"),
+        ("trials: : [\n", "not a valid YAML spec"),
+        ("trials: \"1\n", "not a valid YAML spec"),
+    ])
+    def test_malformed_spec_file_is_a_configuration_error(
+            self, capsys, tmp_path, text, named):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("scenario: honest_work_liveness\n" + text)
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("configuration error:") and named in err
+        assert "Traceback" not in err
+
+    def test_spec_file_that_cannot_be_read(self, capsys, tmp_path):
+        for path in (tmp_path / "missing.yaml", tmp_path):
+            code, out, err = run_cli(capsys, "run", "--config", str(path))
+            assert code == 2 and out == ""
+            assert "cannot read the spec file" in err and str(path) in err
+
+    def test_spec_file_that_is_not_text(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_bytes(b"\xff\xfe scenario")
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2 and "not a valid YAML spec" in err
+
+    def test_integral_floats_in_a_spec_file_are_integers(self, capsys,
+                                                         tmp_path):
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("scenario: honest_work_liveness\ntrials: 2.0\n"
+                       "params:\n  duration: 40.0\n  processors: 2\n")
+        code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 0 and json.loads(out)["trials"] == 2
+
     def test_jobs_below_one_is_a_configuration_error(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--scenario", "honest_work_liveness",

@@ -93,6 +93,20 @@ class TestParamResolution:
         with pytest.raises(ConfigError, match="known:"):
             self.scenario().resolve_params({"durration": 5})
 
+    @pytest.mark.parametrize("name, key, value", [
+        ("honest_work_liveness", "duration", 2.5),
+        ("honest_work_liveness", "processors", True),
+        ("honest_work_liveness", "duration", "2.0"),
+        ("stake_density_certificates", "eps", True),
+    ])
+    def test_no_value_is_truncated_or_read_as_a_number(self, name, key, value):
+        with pytest.raises(ConfigError, match=f"params.{key}"):
+            get_scenario(name).resolve_params({key: value})
+
+    def test_integral_values_are_integers(self):
+        params = self.scenario().resolve_params({"duration": 250.0})
+        assert params["duration"] == 250 and type(params["duration"]) is int
+
     def test_cli_strings_coerce_to_the_default_types(self):
         params = self.scenario().resolve_params(
             {"duration": "250", "rate": "1/8"})

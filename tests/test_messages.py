@@ -1,5 +1,7 @@
 """Message identity, serialization, and the vouching pairs."""
 
+import pickle
+
 import pytest
 
 from permitsim.messages import (Message, PublicKey, genesis_block,
@@ -10,6 +12,43 @@ def test_key_label_and_json_round_trip():
     key = PublicKey("group", 3)
     assert key.label() == "group/3"
     assert PublicKey.from_json(key.to_json()) == key
+
+
+def test_keys_built_apart_are_equal_and_hash_alike():
+    a, b = PublicKey("group", 3), PublicKey(owner="group", index=3)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert PublicKey("group") == PublicKey("group", 0)
+    assert a != PublicKey("group", 4) and a != PublicKey("grouq", 3)
+    assert len({a, b, PublicKey("group", 4)}) == 2
+    assert {a: 1}[b] == 1
+    # a key is the tuple (owner, index)
+    assert a == ("group", 3) and hash(a) == hash(("group", 3))
+
+
+def test_keys_order_by_owner_then_index():
+    keys = [PublicKey("b", 0), PublicKey("a", 10), PublicKey("a", 2),
+            PublicKey("a", 0)]
+    assert sorted(keys) == [PublicKey("a", 0), PublicKey("a", 2),
+                            PublicKey("a", 10), PublicKey("b", 0)]
+    assert min(keys) == PublicKey("a", 0)
+    assert PublicKey("a", 9) < PublicKey("b", 0) <= PublicKey("b", 0)
+
+
+def test_keys_survive_pickling():
+    key = PublicKey("group", 3)
+    copy = pickle.loads(pickle.dumps(key))
+    assert copy == key and type(copy) is PublicKey
+    assert copy.label() == "group/3"
+    block = make_block(key, "root", payload="x", embedded=((key, "d"),))
+    assert pickle.loads(pickle.dumps(block)) == block
+
+
+def test_key_json_and_label_forms():
+    key = PublicKey("group", 3)
+    assert key.to_json() == ["group", 3]
+    assert PublicKey.from_json(["group", "3"]) == key
+    assert repr(key) == "PublicKey(owner='group', index=3)"
+    assert make_block(key, "root").to_json()["signer"] == ["group", 3]
 
 
 def test_message_id_is_content_addressed():

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from permitsim.blocktree import BlockIndex, BlockSetView
 from permitsim.errors import ConfigError, SettingMismatchError
-from permitsim.messages import PublicKey, genesis_block, make_block
+from permitsim.messages import (PAYLOAD, Message, PublicKey, genesis_block,
+                                make_block)
 from permitsim.permitter import (LeaderGrant, PermitRequest, PermitResponse,
                                  StakePermitter, WorkPermitter, _cutoff,
                                  enforce_request_budget)
@@ -139,6 +140,31 @@ class TestWorkPermitter:
         with pytest.raises(ConfigError):
             WorkPermitter(Fraction(-1, 2))
 
+    def test_a_reused_permitter_answers_like_a_fresh_one(self):
+        """The per-key hash states and tail encodings a permitter keeps
+        between requests change no verdict: under two seeds in turn, and
+        with the candidate or the message set changing from one slot to
+        the next."""
+        pool = ConstantBalancePool({KEY: 1, OTHER: 1}, mode=SIZED)
+        shared = WorkPermitter(1)  # threshold 1/2
+        view, genesis = fresh_view()
+        payload, got = "c0", []
+        for slot in range(1, 61):
+            if slot % 3 == 0:
+                payload = f"c{slot}"  # a new candidate
+            if slot % 5 == 0:  # a new message set, same longest chain
+                view.add(Message(signer=OTHER, kind=PAYLOAD,
+                                 payload=f"m{slot}"))
+            for key in (KEY, OTHER):
+                req, _ = work_request(view, genesis, key=key,
+                                      payload=payload)
+                for seed in (11, 12):
+                    resp = shared.respond(req, pool, slot, seed)
+                    fresh = WorkPermitter(1).respond(req, pool, slot, seed)
+                    assert resp == fresh
+                    got.append(resp.empty)
+        assert True in got and False in got
+
     @pytest.mark.parametrize("scale", [0, -3])
     def test_reference_scale_must_be_positive(self, scale):
         # 0 would divide by zero at the first request; -3 would grant nothing
@@ -191,6 +217,23 @@ class TestStakePermitter:
                 pool, 1, seed=8).empty)
         # threshold = 3/4 * 1/3 = 1/4 per slot
         assert abs(wins - 1000) <= 3 * math.sqrt(4000 * 0.25 * 0.75)
+
+    def test_a_reused_permitter_answers_like_a_fresh_one(self):
+        pool = StakePool({KEY: 1, OTHER: 3})
+        shared = StakePermitter(Fraction(1, 2), lookahead=4)
+        view, _ = fresh_view(timed=True)
+        got = []
+        for slot in range(1, 41):
+            for key in (KEY, OTHER):
+                for seed in (5, 6):
+                    req = PermitRequest(key=key, view=view,
+                                        target_slot=slot + 1 + seed % 2)
+                    resp = shared.respond(req, pool, slot, seed)
+                    assert resp == StakePermitter(
+                        Fraction(1, 2), lookahead=4).respond(req, pool, slot,
+                                                              seed)
+                    got.append(resp.empty)
+        assert True in got and False in got
 
     def test_candidate_carrying_request_denied(self):
         pool = StakePool({KEY: 1})

@@ -4,7 +4,26 @@ import enum
 import math
 from fractions import Fraction
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from permitsim import rng
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Tag(str):
+    pass
+
+
+# every label type the encoding takes, subclasses included
+LABELS = st.one_of(
+    st.text(max_size=12), st.integers(min_value=-2**80, max_value=2**300),
+    st.booleans(), st.binary(max_size=12), st.none(),
+    st.sampled_from(Level), st.text(max_size=6).map(Tag))
 
 
 def test_substream_is_deterministic():
@@ -34,12 +53,6 @@ def test_bool_and_int_labels_differ():
 
 
 def test_subclassed_labels_encode_like_their_base_type():
-    class Level(enum.IntEnum):
-        LOW = 1
-
-    class Tag(str):
-        pass
-
     assert rng._encode((Level.LOW,)) == rng._encode((1,))
     assert rng.substream_u64(1, Level.LOW) == rng.substream_u64(1, 1)
     assert rng._encode((Tag("work"),)) == rng._encode(("work",))
@@ -84,3 +97,16 @@ def test_threshold_draw_rate_on_grid():
         p = float(threshold)
         sigma = math.sqrt(n * p * (1 - p))
         assert abs(hits - n * p) <= 3 * sigma + 1e-9, (num, den, hits)
+
+
+@given(st.integers(min_value=0, max_value=2**64), st.lists(LABELS, max_size=7))
+def test_a_prefix_draws_what_substream_draws(seed, labels):
+    """Prefix(seed, *a).u64_of(encode(*b)) == substream_u64(seed, *a, *b)
+    for every split of the label tuple into a and b."""
+    expected = rng.substream_u64(seed, *labels)
+    for split in range(len(labels) + 1):
+        head, rest = labels[:split], labels[split:]
+        prefix = rng.Prefix(seed, *head)
+        encoded = rng.encode(*rest)
+        assert prefix.u64_of(encoded) == expected
+        assert prefix.u64_of(encoded) == expected  # a draw leaves the state

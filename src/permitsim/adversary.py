@@ -37,10 +37,9 @@ from .errors import ConfigError
 from .messages import Message, make_block
 from .network import (CustomTableRule, SynchronySchedule, TimingRule,
                       build_timing_rule)
-from .permitter import (MULTI, SINGLE, PermitRequest, PermitResponse,
-                        PermitterSetting)
-from .protocols import (Candidates, KDeepRule, ObserverStrategy, StepContext,
-                        Strategy)
+from .permitter import PermitRequest
+from .protocols import (Candidates, KDeepRule, LeaderSlots, ObserverStrategy,
+                        StepContext, Strategy)
 
 # ---------------------------------------------------------------------------
 # private-fork double spend
@@ -146,13 +145,11 @@ class StakeWithholdStrategy(Strategy):
 
     name = "stake_withhold"
 
-    def __init__(self, period: int, lookahead: int = 8):
+    def __init__(self, period: int):
         if period < 1:
             raise ConfigError("release period must be at least one slot")
         self.period = int(period)
-        self.lookahead = max(int(lookahead), 1)
-        self._queried: set[tuple[object, int]] = set()
-        self._leaderships: dict[int, list] = {}
+        self._slots = LeaderSlots()
         self._fork: BlockSetView | None = None
         self._withheld: list[Message] = []
 
@@ -163,15 +160,12 @@ class StakeWithholdStrategy(Strategy):
     def on_receive(self, ctx: StepContext) -> None:
         if self._fork is None:
             self._refork(ctx)
-        for resp in ctx.responses:
-            if resp.leader is not None:
-                self._leaderships.setdefault(resp.leader.slot, []).append(
-                    resp.leader.key)
+        self._slots.note(ctx.responses)
 
     def plan_broadcasts(self, ctx: StepContext) -> list[Message]:
-        keys = self._leaderships.pop(ctx.slot, None)
-        if keys:
-            block = make_block(min(keys), parent=self._fork.longest_tip,
+        key = self._slots.take(ctx.slot)
+        if key is not None:
+            block = make_block(key, parent=self._fork.longest_tip,
                                timestamp=ctx.slot)
             self._fork.add(block)
             self._withheld.append(block)
@@ -182,16 +176,7 @@ class StakeWithholdStrategy(Strategy):
         return []
 
     def plan_requests(self, ctx: StepContext) -> list[PermitRequest]:
-        requests = []
-        hi = min(ctx.slot + self.lookahead, ctx.duration)
-        for key in ctx.keys:
-            for target in range(ctx.slot + 1, hi + 1):
-                if (key, target) in self._queried:
-                    continue
-                self._queried.add((key, target))
-                requests.append(
-                    PermitRequest(key=key, view=self._fork, target_slot=target))
-        return requests
+        return self._slots.requests(ctx, self._fork)
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +188,15 @@ class _RequestRecorder:
     """Permitter of a simulated world: it grants nothing itself and keeps
     every request for the attacker to forward under its own keys."""
 
-    def __init__(self, timed: bool):
-        # each timing setting has one budget regime (see permitter)
-        self.setting = PermitterSetting(timed=timed,
-                                        budget=MULTI if timed else SINGLE)
+    def __init__(self, timed: bool, lookahead: int):
+        # the setting and window of the real permitter the requests go to
+        self.timed = timed
+        self.lookahead = lookahead
         self.requests: list[PermitRequest] = []
 
     def respond(self, request: PermitRequest, pool, slot: int,
-                seed: int) -> PermitResponse:
+                seed: int) -> None:
         self.requests.append(request)
-        return PermitResponse(key=request.key)
 
 
 class SimulationAttackerStrategy(Strategy):
@@ -271,7 +255,7 @@ class SimulationAttackerStrategy(Strategy):
         self.released_at: int | None = None
 
     def _start(self, ctx: StepContext) -> None:
-        self._recorder = _RequestRecorder(ctx.timed)
+        self._recorder = _RequestRecorder(ctx.timed, ctx.lookahead)
         config = ExecutionConfig(
             duration=ctx.duration, delta=ctx.delta, epsilon=ctx.epsilon,
             timed=ctx.timed,

@@ -44,8 +44,7 @@ from .errors import (ConfigError, DanglingBlockError, ExecutionFault,
                      TranscriptFormatError)
 from .messages import CANONICAL_JSON, Message, PublicKey, genesis_block
 from .network import SynchronySchedule, TimingRule, build_timing_rule
-from .permitter import (LeaderGrant, PermitResponse, StakePermitter,
-                        WorkPermitter, enforce_request_budget)
+from .permitter import LeaderGrant, PermitResponse, enforce_request_budget
 from .protocols import ConfirmationRule, StepContext, Strategy
 from .resource_pool import ResourcePool
 
@@ -79,7 +78,7 @@ class ExecutionConfig:
     schedule: SynchronySchedule
     timing: object  # TimingRule or a config dict for build_timing_rule
     pool: ResourcePool
-    permitter: object  # WorkPermitter | StakePermitter
+    permitter: object  # states timed and lookahead; see the permitter module
     confirmation: ConfirmationRule
     processors: list[ProcessorSpec]
     seed: int
@@ -110,14 +109,12 @@ class ExecutionConfig:
                         f"and {p.id!r}"
                     )
                 groups_seen[g] = p.id
-        setting = self.permitter.setting
-        if setting.timed != self.timed:
+        if self.permitter.timed != self.timed:
             raise SettingMismatchError(
                 f"execution is {'timed' if self.timed else 'untimed'} but the "
-                f"permitter is {'timed' if setting.timed else 'untimed'}"
+                f"permitter is {'timed' if self.permitter.timed else 'untimed'}"
             )
-        if isinstance(self.permitter, StakePermitter):
-            self.permitter.check_pool(self.pool)
+        self.permitter.check_pool(self.pool)
         owned = {g for p in self.processors for g in p.groups}
         for key in self.pool.declared_keys():
             if key.owner not in owned:
@@ -432,6 +429,7 @@ class Execution:
                 responses=responses, delivered=tuple(delivered),
                 duration=config.duration, delta=config.delta,
                 epsilon=config.epsilon, timed=config.timed,
+                lookahead=config.permitter.lookahead,
             )
             contexts[spec.id] = ctx
             rt.strategy.on_receive(ctx)
@@ -463,7 +461,7 @@ class Execution:
                     ort.held[msg.id] = due
 
             requests = rt.strategy.plan_requests(ctx)
-            problems = enforce_request_budget(requests, config.permitter.setting)
+            problems = enforce_request_budget(requests, config.permitter.timed)
             if problems:
                 raise ExecutionFault(spec.id, slot, problems[0])
             for req in requests:
@@ -472,13 +470,13 @@ class Execution:
                         spec.id, slot,
                         f"request under unowned key {req.key.label()}")
                 resp = config.permitter.respond(req, config.pool, slot, config.seed)
-                if resp.empty:
+                if resp is None:  # denied
                     continue
                 rt.pending.append(resp)
                 transcript.grants.append({
                     "slot": slot, "proc": spec.id, "key": req.key.to_json(),
                     "granted": sorted(m.id for m in resp.granted),
-                    "leader_slot": resp.target_slot if resp.leader else None,
+                    "leader_slot": resp.leader.slot if resp.leader else None,
                     "m_digest": req.m_digest,
                     "candidate": req.candidate.id if req.candidate else None,
                 })
@@ -509,13 +507,6 @@ def run_execution(config: ExecutionConfig) -> Transcript:
 
 
 def _describe_config(config: ExecutionConfig, rule: TimingRule) -> dict:
-    pool_desc = config.pool.describe()
-    perm = config.permitter
-    perm_desc = {"family": type(perm).__name__, "rate": str(perm.rate)}
-    if isinstance(perm, WorkPermitter) and perm.reference_scale is not None:
-        perm_desc["reference_scale"] = str(perm.reference_scale)
-    if isinstance(perm, StakePermitter):
-        perm_desc["lookahead"] = perm.lookahead
     return {
         "duration": config.duration,
         "delta": config.delta,
@@ -523,8 +514,8 @@ def _describe_config(config: ExecutionConfig, rule: TimingRule) -> dict:
         "timed": config.timed,
         "schedule": config.schedule.to_json(),
         "timing": rule.describe(),
-        "pool": pool_desc,
-        "permitter": perm_desc,
+        "pool": config.pool.describe(),
+        "permitter": config.permitter.describe(),
         "confirmation": config.confirmation.describe(),
         "processors": [
             {"id": p.id, "keys": [k.label() for k in p.keys],

@@ -8,7 +8,7 @@ class ConfigError(ValueError):
 
 
 class SettingMismatchError(ConfigError):
-    """Components declare incompatible setting axes (timing/sizing/budget)."""
+    """Components declare incompatible setting axes (timing/sizing)."""
 
 
 class ExecutionFault(RuntimeError):

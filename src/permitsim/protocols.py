@@ -8,13 +8,14 @@ protocol, which is what makes paired executions comparable.
 
 Two honest families ship here:
 
-* the work-style longest-chain protocol (untimed, single budget): each
-  slot every key submits one candidate block extending the longest chain
-  tip; granted candidates are broadcast immediately;
-* the stake-style longest-chain protocol (timed, multi budget): each key
-  asks for leadership of upcoming slots inside a lookahead window; a key
-  that holds leadership for the current slot broadcasts one block,
-  timestamped with the slot, extending the longest chain tip.
+* the work-style longest-chain protocol (untimed): each slot every key
+  submits one candidate block extending the longest chain tip; granted
+  candidates are broadcast immediately;
+* the stake-style longest-chain protocol (timed): each key asks for
+  leadership of upcoming slots inside the permitter's lookahead window
+  (``StepContext.lookahead``); a key that holds leadership for the
+  current slot broadcasts one block, timestamped with the slot,
+  extending the longest chain tip.
 
 Confirmation rules turn a message set into a confirmed chain:
 
@@ -59,6 +60,7 @@ class StepContext:
     delta: int
     epsilon: float
     timed: bool
+    lookahead: int  # the permitter's window: targets up to slot + lookahead
 
 
 class Strategy:
@@ -89,6 +91,42 @@ class Candidates:
         if cand is None or cand.parent != parent:
             cand = self._by_key[key] = make_block(key, parent=parent)
         return cand
+
+
+class LeaderSlots:
+    """A staker's leadership requests and the slots its keys won.
+
+    Each target slot in ``(slot, min(slot + ctx.lookahead, duration)]`` is
+    asked once per key, so the targets asked so far run from the first
+    slot up to one high-water mark.  Of several keys winning one slot, the
+    smallest produces.
+    """
+
+    def __init__(self):
+        self._asked = 0  # the last target asked for
+        self._won: dict[int, PublicKey] = {}  # slot -> smallest winning key
+
+    def note(self, responses) -> None:
+        for resp in responses:
+            lead = resp.leader
+            if lead is not None:
+                won = self._won.get(lead.slot)
+                if won is None or lead.key < won:
+                    self._won[lead.slot] = lead.key
+
+    def take(self, slot: int) -> PublicKey | None:
+        """The key that produces at ``slot``, if any; asked once."""
+        return self._won.pop(slot, None)
+
+    def requests(self, ctx: StepContext, view: BlockSetView) -> list[PermitRequest]:
+        """The targets not asked yet, for every key, presenting ``view``."""
+        first = max(self._asked, ctx.slot) + 1
+        last = min(ctx.slot + ctx.lookahead, ctx.duration)
+        if last < first:
+            return []
+        self._asked = last
+        return [PermitRequest(key=key, view=view, target_slot=target)
+                for key in ctx.keys for target in range(first, last + 1)]
 
 
 class ObserverStrategy(Strategy):
@@ -135,37 +173,20 @@ class HonestStakeStrategy(Strategy):
 
     name = "stake_honest"
 
-    def __init__(self, lookahead: int = 8):
-        self.lookahead = max(int(lookahead), 1)
-        self._queried: set[tuple[PublicKey, int]] = set()
-        self._leaderships: dict[int, list[PublicKey]] = {}
+    def __init__(self):
+        self._slots = LeaderSlots()
 
     def on_receive(self, ctx: StepContext) -> None:
-        for resp in ctx.responses:
-            if resp.leader is not None:
-                self._leaderships.setdefault(resp.leader.slot, []).append(resp.leader.key)
+        self._slots.note(ctx.responses)
 
     def plan_broadcasts(self, ctx: StepContext) -> list[Message]:
-        keys = self._leaderships.pop(ctx.slot, None)
-        if not keys:
+        key = self._slots.take(ctx.slot)
+        if key is None:
             return []
-        key = min(keys)
-        block = make_block(key, parent=ctx.view.longest_tip, timestamp=ctx.slot)
-        return [block]
+        return [make_block(key, parent=ctx.view.longest_tip, timestamp=ctx.slot)]
 
     def plan_requests(self, ctx: StepContext) -> list[PermitRequest]:
-        requests = []
-        # the permitter rejects targets past slot + lookahead, so stay inside
-        hi = min(ctx.slot + self.lookahead, ctx.duration)
-        for key in ctx.keys:
-            for target in range(ctx.slot + 1, hi + 1):
-                if (key, target) in self._queried:
-                    continue
-                self._queried.add((key, target))
-                requests.append(
-                    PermitRequest(key=key, view=ctx.view, target_slot=target)
-                )
-        return requests
+        return self._slots.requests(ctx, ctx.view)
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,11 @@ def as_fraction(value) -> Fraction:
     raise ConfigError(f"cannot read {value!r} as a balance")
 
 
-def parse_key(label: str) -> PublicKey:
-    """'group' or 'group/index' -> PublicKey."""
+def parse_key(label) -> PublicKey:
+    """A PublicKey as it is; a 'group' or 'group/index' label -> PublicKey."""
+    if isinstance(label, PublicKey):
+        return label
+    label = str(label)
     if "/" in label:
         owner, idx = label.rsplit("/", 1)
         return PublicKey(owner, int(idx))
@@ -53,7 +56,7 @@ def parse_key(label: str) -> PublicKey:
 
 
 class ResourcePool:
-    """Base class; subclasses implement balance_of."""
+    """Base class; subclasses implement balance_of and total."""
 
     mode: str = SIZED
     bounds: tuple[Fraction, Fraction] | None = None
@@ -61,7 +64,7 @@ class ResourcePool:
     def __init__(self, balances: dict):
         self._balances: dict[PublicKey, Fraction] = {}
         for label, value in balances.items():
-            key = label if isinstance(label, PublicKey) else parse_key(str(label))
+            key = parse_key(label)
             frac = as_fraction(value)
             if frac < 0:
                 raise ConfigError(f"negative balance for {key.label()}")
@@ -76,13 +79,7 @@ class ResourcePool:
         raise NotImplementedError
 
     def total(self, slot: int, view=None) -> Fraction:
-        return sum(
-            (self.balance_of(k, slot, view) for k in self.nonzero_keys(slot, view)),
-            Fraction(0),
-        )
-
-    def nonzero_keys(self, slot: int, view=None) -> list[PublicKey]:
-        return list(self._balances)
+        raise NotImplementedError
 
     @property
     def is_constant(self) -> bool:
@@ -222,8 +219,7 @@ class ScriptedPool(ResourcePool):
             raise ConfigError("scripted segments must have increasing start slots")
         self._segments = [
             (int(start),
-             {(k if isinstance(k, PublicKey) else parse_key(str(k))): as_fraction(v)
-              for k, v in bal.items()})
+             {parse_key(k): as_fraction(v) for k, v in bal.items()})
             for start, bal in segments
         ]
         for _, bal in self._segments:
@@ -246,9 +242,6 @@ class ScriptedPool(ResourcePool):
     def total(self, slot: int, view=None) -> Fraction:
         return sum(self._segment(slot).values(), Fraction(0))
 
-    def nonzero_keys(self, slot: int, view=None) -> list[PublicKey]:
-        return [k for k, v in self._segment(slot).items() if v > 0]
-
     def declared_keys(self) -> list[PublicKey]:
         """Every key with a positive balance in some segment."""
         return list(dict.fromkeys(
@@ -268,7 +261,7 @@ def sample_unsized_pool(bounds: tuple, shares: dict, profile: str, seed: int,
         raise ConfigError("lower total bound must be positive")
     if a1 < a0:
         raise ConfigError("upper total bound below lower bound")
-    share_fracs = {parse_key(str(k)): as_fraction(v) for k, v in shares.items()}
+    share_fracs = {parse_key(k): as_fraction(v) for k, v in shares.items()}
     if sum(share_fracs.values(), Fraction(0)) != 1:
         raise ConfigError("pool shares must sum to exactly 1")
     if profile == "constant":
@@ -298,8 +291,7 @@ def sample_unsized_pool(bounds: tuple, shares: dict, profile: str, seed: int,
     else:
         raise ConfigError(f"unknown pool profile {profile!r}")
 
-    balances = {k: v for k, v in share_fracs.items()}
-    return ConstantBalancePool(balances, mode=UNSIZED, bounds=(a0, a1),
+    return ConstantBalancePool(share_fracs, mode=UNSIZED, bounds=(a0, a1),
                                profile=totals)
 
 
@@ -321,7 +313,7 @@ def is_q_bounded(pool: ResourcePool, adversary_keys, q, contexts=None) -> bool:
     no contexts since their balances ignore both coordinates.
     """
     q = as_fraction(q)
-    adv = {k if isinstance(k, PublicKey) else parse_key(str(k)) for k in adversary_keys}
+    adv = {parse_key(k) for k in adversary_keys}
     for slot, view in _contexts_or_default(pool, contexts):
         total = pool.total(slot, view)
         held = sum((pool.balance_of(k, slot, view) for k in adv), Fraction(0))
@@ -334,8 +326,8 @@ def dominates(pool: ResourcePool, keys_a, keys_b, theta, contexts=None) -> bool:
     """True when keys_a's balance strictly exceeds theta times keys_b's
     at every supplied context (exact arithmetic, strict inequality)."""
     theta = as_fraction(theta)
-    ka = {k if isinstance(k, PublicKey) else parse_key(str(k)) for k in keys_a}
-    kb = {k if isinstance(k, PublicKey) else parse_key(str(k)) for k in keys_b}
+    ka = {parse_key(k) for k in keys_a}
+    kb = {parse_key(k) for k in keys_b}
     for slot, view in _contexts_or_default(pool, contexts):
         held_a = sum((pool.balance_of(k, slot, view) for k in ka), Fraction(0))
         held_b = sum((pool.balance_of(k, slot, view) for k in kb), Fraction(0))

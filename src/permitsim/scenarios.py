@@ -547,15 +547,12 @@ class StakeDensityCertificates(Scenario):
         adv_key = PublicKey("wit", 0)
         pool = StakePool({honest_key: params["honest_stake"],
                           adv_key: params["adversary_stake"]})
-        lookahead = params["lookahead"]
         specs = [
             ProcessorSpec(id="val", keys=(honest_key,),
-                          strategy=lambda: HonestStakeStrategy(
-                              lookahead=lookahead)),
+                          strategy=HonestStakeStrategy),
             ProcessorSpec(id="wit", keys=(adv_key,),
                           strategy=lambda: StakeWithholdStrategy(
-                              period=params["withhold_period"],
-                              lookahead=lookahead),
+                              period=params["withhold_period"]),
                           adversary=True),
             ProcessorSpec(id="watch", keys=(), strategy=ObserverStrategy),
         ]
@@ -567,7 +564,8 @@ class StakeDensityCertificates(Scenario):
             schedule=SynchronySchedule.fully_synchronous(params["duration"]),
             timing={"policy": "uniform_delay", "delay": params["delay"]},
             pool=pool,
-            permitter=StakePermitter(params["rate"], lookahead=lookahead),
+            permitter=StakePermitter(params["rate"],
+                                     lookahead=params["lookahead"]),
             confirmation=recal.rule,
             processors=specs,
             seed=seed,

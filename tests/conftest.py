@@ -77,8 +77,7 @@ def stake_config(*, duration=300, stakes=None, rate=Fraction(1, 4),
     if stakes is None:
         stakes = {PublicKey("s0", 0): 2, PublicKey("s1", 0): 1}
     specs = [ProcessorSpec(id=key.owner, keys=(key,),
-                           strategy=lambda la=lookahead: HonestStakeStrategy(
-                               lookahead=la))
+                           strategy=HonestStakeStrategy)
              for key in stakes]
     return ExecutionConfig(
         duration=duration,

@@ -91,8 +91,7 @@ def _honest_stake_config(rng: random.Random, seed: int,
               for i in range(n_procs)}
     lookahead = rng.choice([4, 6, 8])
     specs = [ProcessorSpec(id=f"s{i}", keys=(PublicKey(f"s{i}", 0),),
-                           strategy=lambda la=lookahead: HonestStakeStrategy(
-                               lookahead=la))
+                           strategy=HonestStakeStrategy)
              for i in range(n_procs)]
     if rng.random() < 0.2:
         specs.append(ProcessorSpec(id="watch", keys=(),
@@ -355,8 +354,7 @@ def _density_sim_config(scenario, params, recal, seed):
     config = scenario._config(params, seed, recal)
     wit = next(s for s in config.processors if s.id == "wit")
     inner = [ProcessorSpec(id="sim0", keys=wit.keys,
-                           strategy=lambda: HonestStakeStrategy(
-                               lookahead=params["lookahead"]))]
+                           strategy=HonestStakeStrategy)]
     attacker = SimulationAttackerStrategy(
         inner_processors=inner,
         inner_timing=UniformDelayRule(params["delay"], params["duration"]),

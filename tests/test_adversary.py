@@ -310,7 +310,7 @@ class TestStakeWithhold:
                            stakes={PublicKey("s0", 0): 2, wit_key: 1})
         cfg.processors[-1] = ProcessorSpec(
             id="wit", keys=(wit_key,),
-            strategy=lambda: StakeWithholdStrategy(period, lookahead=6),
+            strategy=lambda: StakeWithholdStrategy(period),
             adversary=True)
         transcript = run_execution(cfg)
         slots = {s for s, proc, _ in transcript.broadcasts if proc == "wit"}
@@ -324,7 +324,7 @@ class TestStakeWithhold:
                            stakes={PublicKey("s0", 0): 2, wit_key: 1})
         cfg.processors[-1] = ProcessorSpec(
             id="wit", keys=(wit_key,),
-            strategy=lambda: StakeWithholdStrategy(period, lookahead=6),
+            strategy=lambda: StakeWithholdStrategy(period),
             adversary=True)
         transcript = run_execution(cfg)
         index = transcript.index

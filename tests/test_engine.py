@@ -57,6 +57,17 @@ class TestDeterminism:
         b = run_execution(stake_config(duration=100))
         assert a.to_bytes() == b.to_bytes()
 
+    def test_stakers_ask_inside_the_permitters_window(self):
+        # the stakers are built with no window of their own: they read the
+        # permitter's, so a narrow window keeps producing blocks all run long
+        cfg = stake_config(duration=300, lookahead=3)
+        cfg.processors = [ProcessorSpec(id=p.id, keys=p.keys,
+                                        strategy=HonestStakeStrategy)
+                          for p in cfg.processors]
+        t = run_execution(cfg)
+        assert any(g["slot"] > 10 for g in t.grants)
+        assert any(slot > 10 for slot, _, _ in t.broadcasts)
+
 
 @pytest.fixture(scope="module")
 def transcript():
@@ -288,10 +299,10 @@ class _MisstampedLeaderStrategy(HonestStakeStrategy):
     """Stamps its leader block with a slot past the end of the run."""
 
     def plan_broadcasts(self, ctx):
-        keys = self._leaderships.pop(ctx.slot, None)
-        if not keys:
+        key = self._slots.take(ctx.slot)
+        if key is None:
             return []
-        return [make_block(min(keys), parent=ctx.view.longest_tip,
+        return [make_block(key, parent=ctx.view.longest_tip,
                            timestamp=ctx.duration + ctx.slot)]
 
 
@@ -299,10 +310,10 @@ class _LeaderPayloadStrategy(HonestStakeStrategy):
     """Spends a leadership on a payload message instead of a block."""
 
     def plan_broadcasts(self, ctx):
-        keys = self._leaderships.pop(ctx.slot, None)
-        if not keys:
+        key = self._slots.take(ctx.slot)
+        if key is None:
             return []
-        return [Message(signer=min(keys), kind=PAYLOAD, timestamp=ctx.slot)]
+        return [Message(signer=key, kind=PAYLOAD, timestamp=ctx.slot)]
 
 
 def _single_swap_config(strategy_cls):
@@ -372,7 +383,7 @@ class TestFaults:
         cfg = stake_config(duration=60)
         cfg.processors = [ProcessorSpec(
             id=p.id, keys=p.keys,
-            strategy=lambda: strategy_cls(lookahead=cfg.permitter.lookahead))
+            strategy=strategy_cls)
             for p in cfg.processors]
         with pytest.raises(ExecutionFault, match="not permitted") as exc:
             run_execution(cfg)

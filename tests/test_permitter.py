@@ -11,8 +11,8 @@ from permitsim.blocktree import BlockIndex, BlockSetView
 from permitsim.errors import ConfigError, SettingMismatchError
 from permitsim.messages import (PAYLOAD, Message, PublicKey, genesis_block,
                                 make_block)
-from permitsim.permitter import (LeaderGrant, PermitRequest, PermitResponse,
-                                 StakePermitter, WorkPermitter, _cutoff,
+from permitsim.permitter import (LeaderGrant, PermitRequest, StakePermitter,
+                                 WorkPermitter, _cutoff,
                                  enforce_request_budget)
 from permitsim.resource_pool import (SIZED, UNSIZED, ConstantBalancePool,
                                      ScriptedPool, StakePool)
@@ -40,15 +40,14 @@ class TestWorkPermitter:
         req, _ = work_request(view, genesis)
         r1 = permitter.respond(req, pool, 3, seed=11)
         r2 = permitter.respond(req, pool, 3, seed=11)
-        assert r1.empty == r2.empty
-        assert [m.id for m in r1.granted] == [m.id for m in r2.granted]
+        assert r1 == r2
 
     def test_zero_balance_never_granted(self):
         pool = ConstantBalancePool({OTHER: 1}, mode=SIZED)
         permitter = WorkPermitter(1)  # rate 1 with balance would always grant
         view, genesis = fresh_view()
         req, _ = work_request(view, genesis)
-        assert permitter.respond(req, pool, 1, seed=0).empty
+        assert permitter.respond(req, pool, 1, seed=0) is None
 
     def test_full_rate_grants_every_valid_candidate(self):
         pool = ConstantBalancePool({KEY: 1}, mode=SIZED)
@@ -64,7 +63,7 @@ class TestWorkPermitter:
         view, genesis = fresh_view()
         cand = make_block(OTHER, genesis.id)
         req = PermitRequest(key=KEY, view=view, candidate=cand)
-        assert permitter.respond(req, pool, 1, seed=0).empty
+        assert permitter.respond(req, pool, 1, seed=0) is None
 
     def test_candidate_must_extend_a_longest_chain_tip(self):
         pool = ConstantBalancePool({KEY: 1}, mode=SIZED)
@@ -74,10 +73,10 @@ class TestWorkPermitter:
         view.add(b1)
         # extending genesis now stops short of the longest chain
         req, _ = work_request(view, genesis)
-        assert permitter.respond(req, pool, 1, seed=0).empty
+        assert permitter.respond(req, pool, 1, seed=0) is None
         req2 = PermitRequest(key=KEY, view=view,
                              candidate=make_block(KEY, b1.id))
-        assert not permitter.respond(req2, pool, 1, seed=0).empty
+        assert permitter.respond(req2, pool, 1, seed=0) is not None
 
     def test_timestamped_candidate_denied_in_untimed_lane(self):
         pool = ConstantBalancePool({KEY: 1}, mode=SIZED)
@@ -85,13 +84,13 @@ class TestWorkPermitter:
         view, genesis = fresh_view()
         cand = make_block(KEY, genesis.id, timestamp=4)
         req = PermitRequest(key=KEY, view=view, candidate=cand)
-        assert permitter.respond(req, pool, 1, seed=0).empty
+        assert permitter.respond(req, pool, 1, seed=0) is None
 
     def test_missing_candidate_denied(self):
         pool = ConstantBalancePool({KEY: 1}, mode=SIZED)
         view, _ = fresh_view()
         req = PermitRequest(key=KEY, view=view)
-        assert WorkPermitter(1).respond(req, pool, 1, seed=0).empty
+        assert WorkPermitter(1).respond(req, pool, 1, seed=0) is None
 
     def test_unsized_scale_ignores_realized_total(self):
         """Hidden-total law: the response is a function of the reference
@@ -106,7 +105,7 @@ class TestWorkPermitter:
             grants = 0
             for i in range(400):
                 req, _ = work_request(view, genesis, payload=f"c{i}")
-                if not permitter.respond(req, pool, 5, seed=77).empty:
+                if permitter.respond(req, pool, 5, seed=77) is not None:
                     grants += 1
             got.append(grants)
         assert got[0] == got[1] > 0
@@ -119,9 +118,9 @@ class TestWorkPermitter:
         # binomial 3-sigma band around 500 is +-63
         grants = sum(
             1 for i in range(4000)
-            if not permitter.respond(
+            if permitter.respond(
                 work_request(view, genesis, payload=f"s{i}")[0],
-                pool, 2, seed=3).empty)
+                pool, 2, seed=3) is not None)
         assert abs(grants - 500) <= 3 * math.sqrt(4000 * (1 / 8) * (7 / 8))
 
     def test_unsized_default_scale_is_lower_bound(self):
@@ -131,9 +130,9 @@ class TestWorkPermitter:
         permitter = WorkPermitter(Fraction(1, 2))
         grants = sum(
             1 for i in range(2000)
-            if not permitter.respond(
+            if permitter.respond(
                 work_request(view, genesis, payload=f"d{i}")[0],
-                pool, 2, seed=5).empty)
+                pool, 2, seed=5) is not None)
         assert abs(grants - 1000) <= 3 * math.sqrt(2000 * 0.25)
 
     def test_negative_rate_rejected(self):
@@ -162,7 +161,7 @@ class TestWorkPermitter:
                     resp = shared.respond(req, pool, slot, seed)
                     fresh = WorkPermitter(1).respond(req, pool, slot, seed)
                     assert resp == fresh
-                    got.append(resp.empty)
+                    got.append(resp is None)
         assert True in got and False in got
 
     @pytest.mark.parametrize("scale", [0, -3])
@@ -189,7 +188,7 @@ class TestStakePermitter:
         r2 = permitter.respond(
             PermitRequest(key=KEY, view=view, target_slot=5), pool, 3, seed=2)
         # querying again later cannot re-roll the outcome
-        assert r1.empty == r2.empty
+        assert r1 == r2
 
     def test_target_window(self):
         pool = StakePool({KEY: 1})
@@ -201,10 +200,10 @@ class TestStakePermitter:
                 PermitRequest(key=KEY, view=view, target_slot=target),
                 pool, slot, seed=1)
 
-        assert ask(0, 1).empty          # slots start at 1
-        assert not ask(5, 1).empty      # slot + lookahead boundary
-        assert ask(6, 1).empty          # beyond the window
-        assert not ask(2, 7).empty      # past targets stay queryable
+        assert ask(0, 1) is None        # slots start at 1
+        assert ask(5, 1) is not None    # slot + lookahead boundary
+        assert ask(6, 1) is None        # beyond the window
+        assert ask(2, 7) is not None    # past targets stay queryable
 
     def test_leader_grant_rate(self):
         pool = StakePool({KEY: 1, OTHER: 2})
@@ -212,9 +211,9 @@ class TestStakePermitter:
         view, _ = fresh_view(timed=True)
         wins = sum(
             1 for t in range(1, 4001)
-            if not permitter.respond(
+            if permitter.respond(
                 PermitRequest(key=KEY, view=view, target_slot=t),
-                pool, 1, seed=8).empty)
+                pool, 1, seed=8) is not None)
         # threshold = 3/4 * 1/3 = 1/4 per slot
         assert abs(wins - 1000) <= 3 * math.sqrt(4000 * 0.25 * 0.75)
 
@@ -232,7 +231,7 @@ class TestStakePermitter:
                     assert resp == StakePermitter(
                         Fraction(1, 2), lookahead=4).respond(req, pool, slot,
                                                               seed)
-                    got.append(resp.empty)
+                    got.append(resp is None)
         assert True in got and False in got
 
     def test_candidate_carrying_request_denied(self):
@@ -240,7 +239,7 @@ class TestStakePermitter:
         view, genesis = fresh_view(timed=True)
         cand = make_block(KEY, genesis.id, timestamp=1)
         req = PermitRequest(key=KEY, view=view, candidate=cand, target_slot=1)
-        assert StakePermitter(1).respond(req, pool, 1, seed=0).empty
+        assert StakePermitter(1).respond(req, pool, 1, seed=0) is None
 
     def test_rate_must_be_probability(self):
         with pytest.raises(ConfigError):
@@ -278,9 +277,9 @@ class TestGrantCutoff:
         permitter = WorkPermitter(2)  # threshold 1 while KEY holds half
         view, genesis = fresh_view()
         granted = [
-            not permitter.respond(
+            permitter.respond(
                 work_request(view, genesis, payload=f"m{slot}")[0],
-                pool, slot, seed=4).empty
+                pool, slot, seed=4) is not None
             for slot in range(1, 21)]
         assert granted == [True] * 9 + [False] * 11
 
@@ -291,9 +290,9 @@ class TestGrantCutoff:
         # half the stake at rate 1: about half the targets before slot 10
         # are won, and none after
         wins = [t for t in range(1, 200)
-                if not permitter.respond(
+                if permitter.respond(
                     PermitRequest(key=KEY, view=view, target_slot=t),
-                    pool, t, seed=6).empty]
+                    pool, t, seed=6) is not None]
         assert wins and all(t < 10 for t in wins)
 
     def test_each_constant_pool_keeps_its_own_cutoff(self):
@@ -302,7 +301,7 @@ class TestGrantCutoff:
         lacks = ConstantBalancePool({OTHER: 1}, mode=SIZED)
         view, genesis = fresh_view()
         req, _ = work_request(view, genesis)
-        verdicts = [permitter.respond(req, pool, slot, seed=0).empty
+        verdicts = [permitter.respond(req, pool, slot, seed=0) is None
                     for slot, pool in enumerate((holds, lacks) * 3, 1)]
         assert verdicts == [False, True] * 3
 
@@ -311,7 +310,7 @@ class TestGrantCutoff:
         holds, lacks = StakePool({KEY: 1}), StakePool({OTHER: 1})
         view, _ = fresh_view(timed=True)
         req = PermitRequest(key=KEY, view=view, target_slot=2)
-        verdicts = [permitter.respond(req, pool, 1, seed=0).empty
+        verdicts = [permitter.respond(req, pool, 1, seed=0) is None
                     for pool in (holds, lacks) * 3]
         assert verdicts == [False, True] * 3
 
@@ -330,27 +329,22 @@ class TestRequestBudget:
         view, genesis = fresh_view()
         r1, _ = work_request(view, genesis, payload="r1")
         r2, _ = work_request(view, genesis, payload="r2")
-        setting = WorkPermitter.setting
-        assert enforce_request_budget([r1], setting) == []
-        assert enforce_request_budget([r1, r2], setting)  # same key twice
+        timed = WorkPermitter.timed
+        assert enforce_request_budget([r1], timed) == []
+        assert enforce_request_budget([r1, r2], timed)  # same key twice
 
     def test_single_budget_rejects_target_slots(self):
         view, _ = fresh_view()
         req = PermitRequest(key=KEY, view=view, target_slot=3)
-        assert enforce_request_budget([req], WorkPermitter.setting)
+        assert enforce_request_budget([req], WorkPermitter.timed)
 
     def test_multi_budget_allows_many_targets(self):
         view, _ = fresh_view(timed=True)
         reqs = [PermitRequest(key=KEY, view=view, target_slot=t)
                 for t in (1, 2, 3)]
-        assert enforce_request_budget(reqs, StakePermitter.setting) == []
+        assert enforce_request_budget(reqs, StakePermitter.timed) == []
 
     def test_multi_budget_requires_target(self):
         view, _ = fresh_view(timed=True)
         req = PermitRequest(key=KEY, view=view)
-        assert enforce_request_budget([req], StakePermitter.setting)
-
-
-def test_response_empty_flag():
-    assert PermitResponse(key=KEY).empty
-    assert not PermitResponse(key=KEY, leader=LeaderGrant(KEY, 1)).empty
+        assert enforce_request_budget([req], StakePermitter.timed)

@@ -1,5 +1,5 @@
-"""Confirmation rules, the density arithmetic behind them, and the
-honest work strategy's candidates."""
+"""Confirmation rules, the density arithmetic behind them, the honest
+work strategy's candidates and the stakers' leader slots."""
 
 import math
 from fractions import Fraction
@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from permitsim.blocktree import BlockIndex, ancestors, longest_chain_tip
 from permitsim.errors import ConfigError
 from permitsim.messages import PublicKey, genesis_block, make_block
+from permitsim.permitter import LeaderGrant, PermitResponse
 from permitsim.protocols import (DensityCertificateRule, HonestWorkStrategy,
-                                 KDeepRule, ProductionProfile, StepContext,
-                                 density_threshold, interval_length_r)
+                                 KDeepRule, LeaderSlots, ProductionProfile,
+                                 StepContext, density_threshold,
+                                 interval_length_r)
 
 from conftest import build_chain
 
@@ -253,7 +255,7 @@ class TestDensityArithmetic:
 def work_step(view, slot):
     return StepContext(slot=slot, processor_id="p", keys=(P,), view=view,
                        responses=(), delivered=(), duration=100, delta=2,
-                       epsilon=0.1, timed=False)
+                       epsilon=0.1, timed=False, lookahead=0)
 
 
 class TestHonestWorkCandidates:
@@ -272,3 +274,45 @@ class TestHonestWorkCandidates:
         moved = strategy.plan_requests(work_step(view, 2))[0].candidate
         assert moved.parent == block.id
         assert moved.id == make_block(P, block.id).id != first.id
+
+
+# ---------------------------------------------------------------------------
+# stakers' leader slots
+# ---------------------------------------------------------------------------
+
+
+def stake_step(view, slot, lookahead, duration, keys=(P, Q), responses=()):
+    return StepContext(slot=slot, processor_id="p", keys=keys, view=view,
+                       responses=responses, delivered=(), duration=duration,
+                       delta=2, epsilon=0.1, timed=True, lookahead=lookahead)
+
+
+class TestLeaderSlots:
+    @pytest.mark.parametrize("lookahead", [0, 1, 3, 8, 25])
+    def test_asks_what_the_set_based_loop_asked(self, view, lookahead):
+        duration = 20
+        slots = LeaderSlots()
+        queried = set()
+        for slot in range(1, duration + 1):
+            # the loop each staker used to carry: every target in the
+            # window, minus the (key, target) pairs asked before
+            expected = []
+            hi = min(slot + lookahead, duration)
+            for key in (P, Q):
+                for target in range(slot + 1, hi + 1):
+                    if (key, target) in queried:
+                        continue
+                    queried.add((key, target))
+                    expected.append((key, target))
+            got = slots.requests(stake_step(view, slot, lookahead, duration),
+                                 view)
+            assert [(r.key, r.target_slot) for r in got] == expected
+            assert all(r.view is view and r.candidate is None for r in got)
+
+    def test_the_smallest_winning_key_produces_once(self, view):
+        slots = LeaderSlots()
+        slots.note([PermitResponse(key=k, leader=LeaderGrant(k, 4))
+                    for k in (Q, P)] + [PermitResponse(key=Q)])
+        assert slots.take(3) is None
+        assert slots.take(4) == P
+        assert slots.take(4) is None

@@ -178,3 +178,10 @@ class TestSampleUnsizedPool:
         p1 = sample_unsized_pool((2, 6), {"a/0": 1}, "constant", 4, 10)
         p2 = sample_unsized_pool((2, 6), {"a/0": 1}, "constant", 4, 10)
         assert p1.total(1) == p2.total(1)
+
+    def test_a_key_share_equals_its_label_share(self):
+        by_key = sample_unsized_pool((2, 6), {A: 1}, "constant", 1, 10)
+        by_label = sample_unsized_pool((2, 6), {"a/0": 1}, "constant", 1, 10)
+        assert by_key.declared_keys() == by_label.declared_keys() == [A]
+        assert by_key.describe() == by_label.describe()
+        assert by_key.balance_of(A, 1) == by_label.balance_of(A, 1) > 0

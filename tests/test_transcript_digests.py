@@ -105,25 +105,37 @@ def drift_pool_config():
     return cfg
 
 
-def stake_reward_config():
+def stake_lookahead_1_config():
+    """Two stakers at the edge of the window: each asks only one slot ahead."""
+    return stake_config(duration=300, lookahead=1, label="stake-lookahead-1")
+
+
+def stake_reward_config(lookahead=6):
     """Two stakers whose recorded stake grows by one per seasoned block."""
-    cfg = stake_config(duration=300, label="stake-reward")
+    cfg = stake_config(duration=300, lookahead=lookahead, label="stake-reward")
     cfg.pool = StakePool({PublicKey("s0", 0): 2, PublicKey("s1", 0): 1},
                          reward=1, min_recording_age=3)
     return cfg
 
 
-def withheld_reward_config():
+def withheld_reward_config(lookahead=6):
     """A rewarded stake pool where the larger staker withholds its blocks
     for 20 slots at a time: its grants' message-set digests and its stake
     reads come from its private fork views."""
-    cfg = stake_reward_config()
+    cfg = stake_reward_config(lookahead)
     cfg.label = "withheld-reward"
     s0 = PublicKey("s0", 0)
     cfg.processors[0] = ProcessorSpec(
         id=s0.owner, keys=(s0,),
-        strategy=lambda: StakeWithholdStrategy(period=20, lookahead=6),
+        strategy=lambda: StakeWithholdStrategy(period=20),
         adversary=True)
+    return cfg
+
+
+def withheld_reward_lookahead_2_config():
+    """The withheld rewarded pool under a permitter window of two slots."""
+    cfg = withheld_reward_config(lookahead=2)
+    cfg.label = "withheld-reward-lookahead-2"
     return cfg
 
 
@@ -135,6 +147,8 @@ CONFIG_DIGESTS = {
     "drift_pool_config": "52688951f3b048618c6e32348ccd02a92203fcb49b2a8851161423521d5d4089",
     "stake_reward_config": "1e8476036467855c8a1d97f4c8f3c96d96aab1d6bc895273f0727abc1107d622",
     "withheld_reward_config": "7e8724240148c8ae3ccf4e572f52e07c8e6e48a39ea686a88432b4423768789d",
+    "stake_lookahead_1_config": "a0f666663aab4ef4f774c527629eca91516bcab5fab98aa0e548f2e568c1583c",
+    "withheld_reward_lookahead_2_config": "833142be8b5e1ffc0d49bc9798319008ad58d0343e24f1119c3dde923861c76d",
 }
 
 
@@ -154,7 +168,9 @@ def test_scenario_transcripts_are_unchanged(case, seed):
 @pytest.mark.parametrize("build", [work_config, stake_config,
                                    partitioned_config, wide_random_config,
                                    drift_pool_config, stake_reward_config,
-                                   withheld_reward_config],
+                                   withheld_reward_config,
+                                   stake_lookahead_1_config,
+                                   withheld_reward_lookahead_2_config],
                          ids=lambda b: b.__name__)
 def test_conftest_config_transcripts_are_unchanged(build):
     data = run_execution(build()).to_bytes()

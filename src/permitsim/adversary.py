@@ -186,7 +186,8 @@ class StakeWithholdStrategy(Strategy):
 
 class _RequestRecorder:
     """Permitter of a simulated world: it grants nothing itself and keeps
-    every request for the attacker to forward under its own keys."""
+    every request for the attacker to forward under its own keys, a
+    standing request once for every slot it is drawn."""
 
     def __init__(self, timed: bool, lookahead: int):
         # the setting and window of the real permitter the requests go to
@@ -197,6 +198,9 @@ class _RequestRecorder:
     def respond(self, request: PermitRequest, pool, slot: int,
                 seed: int) -> None:
         self.requests.append(request)
+
+    def draw(self, request: PermitRequest, pool, seed: int):
+        return lambda slot: self.respond(request, pool, slot, seed)
 
 
 class SimulationAttackerStrategy(Strategy):

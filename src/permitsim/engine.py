@@ -23,7 +23,9 @@ slot they are held from, and the (signer, body digest) pairs they carry)
 and keeps one inbox of queued deliveries per processor.  The view a
 strategy reads mirrors the held messages; writing into it grants nothing.
 
-``Execution`` holds one run's state and ``Execution.step`` runs one slot;
+``Execution`` holds one run's state and ``Execution.step`` runs one slot,
+in which a processor with a ``standing`` strategy and no delivery or
+response due is not stepped: its last requests are drawn again;
 ``run_execution`` validates a config and steps it through every slot.  A
 strategy that simulates a private world steps an ``Execution`` of its own,
 so that world runs under the same rules.
@@ -326,6 +328,7 @@ class _ProcessorRuntime:
         self.pairs: set[tuple[PublicKey, str]] = set()
         self.inbox: dict[int, list[str]] = {}  # due slot -> ids, in queueing order
         self.last_confirmed: tuple[str | None, int] | None = None
+        self.draws: list | None = None  # standing: (request, draw) pairs
 
     def hold(self, msg: Message, slot: int) -> None:
         """Take a delivered or self-broadcast message into the state."""
@@ -411,6 +414,8 @@ class Execution:
         # -- receive phase ------------------------------------------------
         for spec in roster:
             rt = runtimes[spec.id]
+            if rt.draws is not None and not rt.pending and slot not in rt.inbox:
+                continue  # idle and standing: its requests are drawn again
             delivered: list[Message] = []
             for mid in rt.inbox.pop(slot, ()):
                 msg = store[mid]
@@ -435,9 +440,15 @@ class Execution:
             rt.strategy.on_receive(ctx)
 
         # -- broadcast + request phase --------------------------------------
+        permitter, pool, seed = config.permitter, config.pool, config.seed
         for spec in roster:
             rt = runtimes[spec.id]
-            ctx = contexts[spec.id]
+            ctx = contexts.get(spec.id)
+            if ctx is None:
+                for req, draw in rt.draws:
+                    if (resp := draw(slot)) is not None:
+                        self._grant(slot, rt, req, resp)
+                continue
 
             for msg in rt.strategy.plan_broadcasts(ctx):
                 validate_broadcast(rt, msg, slot)
@@ -461,7 +472,7 @@ class Execution:
                     ort.held[msg.id] = due
 
             requests = rt.strategy.plan_requests(ctx)
-            problems = enforce_request_budget(requests, config.permitter.timed)
+            problems = enforce_request_budget(requests, permitter.timed)
             if problems:
                 raise ExecutionFault(spec.id, slot, problems[0])
             for req in requests:
@@ -469,26 +480,30 @@ class Execution:
                     raise ExecutionFault(
                         spec.id, slot,
                         f"request under unowned key {req.key.label()}")
-                resp = config.permitter.respond(req, config.pool, slot, config.seed)
-                if resp is None:  # denied
-                    continue
-                rt.pending.append(resp)
-                transcript.grants.append({
-                    "slot": slot, "proc": spec.id, "key": req.key.to_json(),
-                    "granted": sorted(m.id for m in resp.granted),
-                    "leader_slot": resp.leader.slot if resp.leader else None,
-                    "m_digest": req.m_digest,
-                    "candidate": req.candidate.id if req.candidate else None,
-                })
+                if (resp := permitter.respond(req, pool, slot, seed)) is not None:
+                    self._grant(slot, rt, req, resp)
+            if rt.strategy.standing:  # a request no slot grants is dropped
+                rt.draws = [(req, draw) for req in requests
+                            if (draw := permitter.draw(req, pool, seed))]
 
-        # -- record confirmations -------------------------------------------
-        for spec in roster:
-            rt = runtimes[spec.id]
+        # -- record confirmations (an idle processor's view is unchanged) ---
+        for pid in contexts:  # roster order
+            rt = runtimes[pid]
             current = rt.tracker.current()
             if current != rt.last_confirmed:
                 rt.last_confirmed = current
                 transcript.confirmations.append(
-                    (slot, spec.id, current[0], current[1]))
+                    (slot, pid, current[0], current[1]))
+
+    def _grant(self, slot: int, rt: _ProcessorRuntime, req, resp) -> None:
+        rt.pending.append(resp)
+        self.transcript.grants.append({
+            "slot": slot, "proc": rt.spec.id, "key": req.key.to_json(),
+            "granted": sorted(m.id for m in resp.granted),
+            "leader_slot": resp.leader.slot if resp.leader else None,
+            "m_digest": req.m_digest,
+            "candidate": req.candidate.id if req.candidate else None,
+        })
 
 
 def run_execution(config: ExecutionConfig) -> Transcript:

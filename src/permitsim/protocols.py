@@ -64,9 +64,18 @@ class StepContext:
 
 
 class Strategy:
-    """Base protocol: receive, broadcast, request — in that order."""
+    """Base protocol: receive, broadcast, request — in that order.  On a
+    slot with no delivery or response, a ``standing`` one changes nothing
+    and asks what it asked last; a subclass overriding a hook restates it."""
 
     name = "abstract"
+    standing = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "standing" not in vars(cls) and vars(cls).keys() & {
+                "on_receive", "plan_broadcasts", "plan_requests"}:
+            cls.standing = False
 
     def on_receive(self, ctx: StepContext) -> None:
         pass
@@ -139,6 +148,7 @@ class HonestWorkStrategy(Strategy):
     """Longest-chain block production under the work permitter."""
 
     name = "work_honest"
+    standing = True  # between events its view, tip and candidates hold
 
     def __init__(self):
         self._pending: list[Message] = []

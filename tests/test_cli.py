@@ -86,6 +86,12 @@ class TestRun:
             "--set", "duratoin=120")
         assert code == 2 and "duratoin" in err
 
+    def test_a_zero_lookahead_is_a_configuration_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "run", "--scenario", "stake_density_certificates",
+            "--set", "lookahead=0")
+        assert code == 2 and "lookahead" in err
+
     def test_malformed_override(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--scenario", "honest_work_liveness",

@@ -1,6 +1,7 @@
 """Experiment specs, trial loops, and report serialization."""
 
 import csv
+import hashlib
 import json
 import os
 import pickle
@@ -415,4 +416,16 @@ def test_three_jobs_give_the_bytes_of_one(name, tmp_path):
     assert outputs[0] == outputs[1]
     if name != "union_bound_recalibration":  # it saves no transcript
         assert len(outputs[0][2]) >= 3
+    assert_no_children()
+
+
+def test_a_wide_roster_gives_the_same_report_at_one_and_two_jobs():
+    """Thirty honest miners, idle on most slots: the report equals the
+    one pinned from runs that stepped every miner at every slot."""
+    for jobs in (1, 2):
+        report = run_experiment(ExperimentSpec(
+            scenario="honest_work_liveness", trials=2,
+            params={"processors": 30, "duration": 300}), jobs=jobs)
+        assert hashlib.sha256(canonical_report_bytes(report)).hexdigest() == \
+            "e4c3648dcc2acacdd64ea30c9671d3e3f776b4d512bff27858bcbc4eee099b67"
     assert_no_children()

@@ -11,8 +11,9 @@ from permitsim.blocktree import BlockIndex, BlockSetView
 from permitsim.errors import ConfigError, SettingMismatchError
 from permitsim.messages import (PAYLOAD, Message, PublicKey, genesis_block,
                                 make_block)
-from permitsim.permitter import (LeaderGrant, PermitRequest, StakePermitter,
-                                 WorkPermitter, _cutoff,
+from permitsim import rng
+from permitsim.permitter import (LeaderGrant, PermitRequest, PermitResponse,
+                                 StakePermitter, WorkPermitter, _cutoff,
                                  enforce_request_budget)
 from permitsim.resource_pool import (SIZED, UNSIZED, ConstantBalancePool,
                                      ScriptedPool, StakePool)
@@ -164,6 +165,42 @@ class TestWorkPermitter:
                     got.append(resp is None)
         assert True in got and False in got
 
+    @pytest.mark.parametrize("pool", [
+        ConstantBalancePool({KEY: 1, OTHER: 1}, mode=SIZED),
+        ConstantBalancePool({KEY: 1, OTHER: 0}, mode=SIZED),  # KEY holds all
+        # a drifting hidden total: the cutoff is read again every slot
+        ConstantBalancePool({KEY: 1, OTHER: 1}, mode=UNSIZED, bounds=(1, 4),
+                            profile=lambda slot: Fraction(1 + slot % 4)),
+        ScriptedPool([(1, {KEY: 1, OTHER: 1}), (20, {KEY: 0, OTHER: 1})]),
+    ], ids=["constant", "one-key", "drift", "scripted-to-zero"])
+    def test_a_draw_answers_like_respond_at_every_slot(self, pool):
+        view, genesis = fresh_view()
+        reqs = [work_request(view, genesis, key=key)[0] for key in (KEY, OTHER)]
+        reqs.append(work_request(view, genesis, payload="c1")[0])
+        permitter = WorkPermitter(Fraction(1, 2), reference_scale=2)
+        draws = [permitter.draw(req, pool, 9) for req in reqs]
+        # no candidate: no slot grants it
+        assert permitter.draw(PermitRequest(key=KEY, view=view), pool, 9) is None
+        got = []
+        for slot in range(1, 41):
+            for req, draw in zip(reqs, draws):
+                resp = draw(slot) if draw else None
+                assert resp == WorkPermitter(
+                    Fraction(1, 2), reference_scale=2).respond(req, pool,
+                                                               slot, 9)
+                # the lottery read afresh: balance and scale at this slot
+                key, cand = req.key, req.candidate
+                scale = pool.total(slot) if pool.mode == SIZED else 2
+                won = rng.substream_u64(
+                    9, "work", key.owner, key.index, slot, req.m_digest,
+                    cand.id) < _cutoff(min(Fraction(1), Fraction(1, 2)
+                                           * pool.balance_of(key, slot)
+                                           / scale))
+                assert resp == (PermitResponse(key=key, granted=(cand,))
+                                if won else None)
+                got.append(won)
+        assert True in got and False in got
+
     @pytest.mark.parametrize("scale", [0, -3])
     def test_reference_scale_must_be_positive(self, scale):
         # 0 would divide by zero at the first request; -3 would grant nothing
@@ -244,6 +281,13 @@ class TestStakePermitter:
     def test_rate_must_be_probability(self):
         with pytest.raises(ConfigError):
             StakePermitter(Fraction(3, 2))
+
+    @pytest.mark.parametrize("lookahead", [0, -1])
+    def test_lookahead_must_be_at_least_one_slot(self, lookahead):
+        # slot t' is asked at t' - 1 or earlier: a window of 0 grants
+        # nothing a staker can use
+        with pytest.raises(ConfigError, match="lookahead"):
+            StakePermitter(1, lookahead=lookahead)
 
 
 class TestGrantCutoff:

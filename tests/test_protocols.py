@@ -1,5 +1,5 @@
 """Confirmation rules, the density arithmetic behind them, the honest
-work strategy's candidates and the stakers' leader slots."""
+work strategy's candidates and standing, and the stakers' leader slots."""
 
 import math
 from fractions import Fraction
@@ -12,9 +12,13 @@ from permitsim.blocktree import BlockIndex, ancestors, longest_chain_tip
 from permitsim.errors import ConfigError
 from permitsim.messages import PublicKey, genesis_block, make_block
 from permitsim.permitter import LeaderGrant, PermitResponse
-from permitsim.protocols import (DensityCertificateRule, HonestWorkStrategy,
-                                 KDeepRule, LeaderSlots, ProductionProfile,
-                                 StepContext, density_threshold,
+from permitsim.adversary import (PrivateForkStrategy,
+                                 SimulationAttackerStrategy,
+                                 StakeWithholdStrategy)
+from permitsim.protocols import (DensityCertificateRule, HonestStakeStrategy,
+                                 HonestWorkStrategy, KDeepRule, LeaderSlots,
+                                 ObserverStrategy, ProductionProfile,
+                                 StepContext, Strategy, density_threshold,
                                  interval_length_r)
 
 from conftest import build_chain
@@ -274,6 +278,37 @@ class TestHonestWorkCandidates:
         moved = strategy.plan_requests(work_step(view, 2))[0].candidate
         assert moved.parent == block.id
         assert moved.id == make_block(P, block.id).id != first.id
+
+
+class TestStanding:
+    def test_only_the_honest_miner_stands(self):
+        assert HonestWorkStrategy.standing
+        for cls in (Strategy, ObserverStrategy, HonestStakeStrategy,
+                    PrivateForkStrategy, StakeWithholdStrategy,
+                    SimulationAttackerStrategy):
+            assert not cls.standing, cls.__name__
+
+    def test_a_subclass_that_overrides_a_hook_does_not_stand(self):
+        class Forging(HonestWorkStrategy):
+            def plan_broadcasts(self, ctx):
+                return []
+
+        class Renamed(HonestWorkStrategy):  # no hook overridden
+            name = "renamed"
+
+        class Declared(HonestWorkStrategy):
+            standing = True
+
+            def on_receive(self, ctx):
+                super().on_receive(ctx)
+
+        class Below(Declared):
+            def plan_requests(self, ctx):
+                return []
+
+        assert not Forging.standing
+        assert Renamed.standing and Declared.standing
+        assert not Below.standing
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from permitsim.engine import ProcessorSpec, run_execution
 from permitsim.messages import PublicKey
 from permitsim.network import PARTIALLY_SYNCHRONOUS, SynchronySchedule
 from permitsim.permitter import WorkPermitter
+from permitsim.protocols import HonestWorkStrategy
 from permitsim.resource_pool import StakePool, sample_unsized_pool
 from permitsim.scenarios import get_scenario
 
@@ -175,3 +176,40 @@ def test_scenario_transcripts_are_unchanged(case, seed):
 def test_conftest_config_transcripts_are_unchanged(build):
     data = run_execution(build()).to_bytes()
     assert hashlib.sha256(data).hexdigest() == CONFIG_DIGESTS[build.__name__]
+
+
+# an honest miner's idle slots (no delivery due, no grant pending) are not
+# stepped; its standing request is only drawn again
+UNTIMED = [work_config, partitioned_config, wide_random_config,
+           drift_pool_config]
+
+
+class _SteppedEverySlot(HonestWorkStrategy):
+    """The honest miner without standing requests."""
+
+    standing = False
+
+
+@pytest.mark.parametrize("build", UNTIMED, ids=lambda b: b.__name__)
+def test_standing_requests_change_no_byte(build):
+    stepped = build()
+    for spec in stepped.processors:
+        assert spec.strategy is HonestWorkStrategy
+        spec.strategy = _SteppedEverySlot
+    assert run_execution(build()).to_bytes() == run_execution(stepped).to_bytes()
+
+
+def test_honest_miners_plan_only_at_their_events(monkeypatch):
+    slots = []
+    plan = HonestWorkStrategy.plan_requests
+
+    def counted(self, ctx):
+        slots.append(ctx.slot)
+        return plan(self, ctx)
+
+    monkeypatch.setattr(HonestWorkStrategy, "plan_requests", counted)
+    cfg = wide_random_config()
+    data = run_execution(cfg).to_bytes()
+    assert hashlib.sha256(data).hexdigest() == CONFIG_DIGESTS["wide_random_config"]
+    assert slots.count(1) == len(cfg.processors)  # every miner starts
+    assert len(slots) < len(cfg.processors) * cfg.duration / 3

@@ -32,6 +32,11 @@ so that world runs under the same rules.
 
 The transcript is the engine's complete, deterministic record: re-running
 a config with the same seed yields byte-identical serialized transcripts.
+Its lines are ``CANONICAL_JSON`` records: the header is encoded by it, and
+every other record is written from a fixed template that equals it
+(``tests/test_canonical_json.py`` checks one against the other).  The
+loader checks each field's type, so a loaded transcript writes back its
+own bytes.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 from .blocktree import BlockIndex, BlockSetView
 from .errors import (ConfigError, DanglingBlockError, ExecutionFault,
@@ -191,29 +198,30 @@ class Transcript:
     # -- serialization --------------------------------------------------------
 
     def to_lines(self) -> list[str]:
-        enc = CANONICAL_JSON.encode
-        lines = [enc({"type": "header", "format": TRANSCRIPT_FORMAT,
-                      "label": self.label, "seed": self.seed,
-                      "duration": self.duration,
-                      "roster": list(self.roster_ids),
-                      "adversaries": list(self.adversary_ids),
-                      "config": self.header})]
-        events: list[tuple[int, int, int, dict]] = []
-        for n, (slot, proc, mid) in enumerate(self.deliveries):
-            events.append((slot, 0, n, {"type": "delivery", "slot": slot,
-                                        "proc": proc, "msg_id": mid}))
-        for n, (slot, proc, mid) in enumerate(self.broadcasts):
-            events.append((slot, 1, n, {"type": "broadcast", "slot": slot,
-                                        "proc": proc,
-                                        "msg": self.store[mid].to_json()}))
-        for n, g in enumerate(self.grants):
-            events.append((g["slot"], 2, n, {"type": "grant", **g}))
-        for n, (slot, proc, tip, ln) in enumerate(self.confirmations):
-            events.append((slot, 3, n, {"type": "confirm", "slot": slot,
-                                        "proc": proc, "tip": tip, "len": ln}))
-        events.sort(key=lambda e: (e[0], e[1], e[2]))
-        lines.extend(enc(e[3]) for e in events)
-        lines.append(enc({"type": "end", "broadcasts": len(self.broadcasts)}))
+        q = _quote
+        lines = [CANONICAL_JSON.encode({
+            "type": "header", "format": TRANSCRIPT_FORMAT, "label": self.label,
+            "seed": self.seed, "duration": self.duration,
+            "roster": list(self.roster_ids),
+            "adversaries": list(self.adversary_ids), "config": self.header})]
+        # (4 * slot + kind, line); kinds in slot order: delivery, broadcast,
+        # grant, confirm.  The stable sort keeps each kind's own order.
+        events = [(4 * slot, f'{{"msg_id":{q(mid)},"proc":{q(proc)},'
+                             f'"slot":{slot},"type":"delivery"}}')
+                  for slot, proc, mid in self.deliveries]
+        store = self.store
+        events += [(4 * slot + 1, f'{{"msg":{store[mid].canonical_json()},'
+                                  f'"proc":{q(proc)},"slot":{slot},'
+                                  f'"type":"broadcast"}}')
+                   for slot, proc, mid in self.broadcasts]
+        events += [(4 * g["slot"] + 2, _grant_line(g)) for g in self.grants]
+        events += [(4 * slot + 3, f'{{"len":{ln},"proc":{q(proc)},"slot":{slot},'
+                                  f'"tip":{"null" if tip is None else q(tip)},'
+                                  f'"type":"confirm"}}')
+                   for slot, proc, tip, ln in self.confirmations]
+        events.sort(key=itemgetter(0))
+        lines.extend(line for _, line in events)
+        lines.append(f'{{"broadcasts":{len(self.broadcasts)},"type":"end"}}')
         return lines
 
     def to_bytes(self) -> bytes:
@@ -229,8 +237,9 @@ class Transcript:
 
         Raises ``TranscriptFormatError`` naming the 1-based line of the
         first problem: a line that is not a JSON record, a missing field, a
-        missing or misplaced header, a record after the end record, and an
-        end record that is missing or miscounts the broadcasts.
+        field of the wrong type, a record of unknown type, a missing or
+        misplaced header, a record after the end record, and an end record
+        that is missing or miscounts the broadcasts.
         """
         head = None
         end = None
@@ -254,25 +263,36 @@ class Transcript:
                     index = BlockIndex(genesis)
                     store = {genesis.id: genesis}
                     head = dict(
-                        label=rec["label"], seed=rec["seed"],
-                        header=rec["config"], duration=rec["duration"],
-                        roster_ids=tuple(rec["roster"]),
-                        adversary_ids=tuple(rec["adversaries"]))
+                        label=_field(rec, "label", _STR),
+                        seed=_field(rec, "seed", _INT),
+                        header=rec["config"],
+                        duration=_field(rec, "duration", _INT),
+                        roster_ids=tuple(_field(rec, "roster", _STRS)),
+                        adversary_ids=tuple(_field(rec, "adversaries", _STRS)))
                 elif kind == "broadcast":
+                    slot = _field(rec, "slot", _INT)
+                    proc = _field(rec, "proc", _STR)
                     msg = Message.from_json(rec["msg"])
                     store[msg.id] = msg
                     if msg.is_block:
                         index.add(msg)
-                    broadcasts.append((rec["slot"], rec["proc"], msg.id))
+                    broadcasts.append((slot, proc, msg.id))
                 elif kind == "delivery":
-                    deliveries.append((rec["slot"], rec["proc"], rec["msg_id"]))
+                    deliveries.append((_field(rec, "slot", _INT),
+                                       _field(rec, "proc", _STR),
+                                       _field(rec, "msg_id", _STR)))
                 elif kind == "grant":
-                    grants.append({k: v for k, v in rec.items() if k != "type"})
+                    grants.append({name: _field(rec, name, check)
+                                   for name, check in _GRANT_FIELDS})
                 elif kind == "confirm":
-                    confirmations.append(
-                        (rec["slot"], rec["proc"], rec["tip"], rec["len"]))
+                    confirmations.append((_field(rec, "slot", _INT),
+                                          _field(rec, "proc", _STR),
+                                          _field(rec, "tip", _STR_OR_NULL),
+                                          _field(rec, "len", _INT)))
                 elif kind == "end":
-                    end = (lineno, rec["broadcasts"])
+                    end = (lineno, _field(rec, "broadcasts", _INT))
+                else:
+                    raise TranscriptFormatError(f"unknown record type {kind!r}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise TranscriptFormatError(
                     f"line {lineno}: {_format_problem(exc)}") from None
@@ -296,6 +316,41 @@ class Transcript:
         # names it, instead of in the file's decoder
         with open(path, "rb") as fh:
             return cls.from_lines(fh)
+
+
+# the loader's field checks: (test, what a field must be); JSON gives
+# exact types, so a bool is not taken for an int
+_INT = (lambda v: type(v) is int, "an int")
+_INT_OR_NULL = (lambda v: v is None or type(v) is int, "an int or null")
+_STR = (lambda v: type(v) is str, "a string")
+_STR_OR_NULL = (lambda v: v is None or type(v) is str, "a string or null")
+_STRS = (lambda v: type(v) is list and all(type(x) is str for x in v),
+         "a list of strings")
+_KEY = (lambda v: type(v) is list and len(v) == 2 and type(v[0]) is str
+        and type(v[1]) is int, "a [str, int] key")
+_GRANT_FIELDS = (("slot", _INT), ("proc", _STR), ("key", _KEY),
+                 ("granted", _STRS), ("leader_slot", _INT_OR_NULL),
+                 ("m_digest", _INT), ("candidate", _STR_OR_NULL))
+
+
+def _field(rec: dict, name: str, check):
+    value = rec[name]
+    test, what = check
+    if not test(value):
+        raise TranscriptFormatError(f"field {name!r} is {value!r:.40}, not {what}")
+    return value
+
+
+def _grant_line(g: dict) -> str:
+    q = _quote
+    owner, index = g["key"]
+    cand, lslot = g["candidate"], g["leader_slot"]
+    return (f'{{"candidate":{"null" if cand is None else q(cand)},'
+            f'"granted":[{",".join(map(q, g["granted"]))}],'
+            f'"key":[{q(owner)},{index}],'
+            f'"leader_slot":{"null" if lslot is None else lslot},'
+            f'"m_digest":{g["m_digest"]},"proc":{q(g["proc"])},'
+            f'"slot":{g["slot"]},"type":"grant"}}')
 
 
 def _format_problem(exc: Exception) -> str:

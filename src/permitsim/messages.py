@@ -7,6 +7,14 @@ identity is a SHA-256 digest of the canonical body encoding plus the
 signer, so two executions that construct the same content produce the
 same ids — a property the paired-execution experiments rely on.
 
+The canonical encoding is ``CANONICAL_JSON`` (sorted keys, no spaces,
+ASCII escapes), but a message writes it from a fixed template once, at
+construction: one stored text gives the id, the body digest (the text
+without the signer) and the transcript form (the text with the id).
+Field types are checked first, since the template holds for those types
+only.  ``tests/test_canonical_json.py`` checks the template against
+``CANONICAL_JSON.encode`` on arbitrary strings and ints.
+
 Keys are plain labels with an index, held as named tuples.  The
 ``owner`` field names the key group a key was minted in; the roster
 assigns whole groups to processors, and two processors never share a
@@ -22,6 +30,7 @@ import hashlib
 import json
 from collections import namedtuple
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 BLOCK = "block"
 PAYLOAD = "payload"
@@ -74,32 +83,49 @@ class Message:
             raise ValueError(f"unknown message kind {self.kind!r}")
         if self.kind == PAYLOAD and self.parent is not None:
             raise ValueError("payload messages carry no parent reference")
-        object.__setattr__(self, "id", self._digest())
+        if self.parent is not None and not isinstance(self.parent, str):
+            raise ValueError(f"a parent reference is a string, not {self.parent!r}")
+        if self.timestamp is not None and type(self.timestamp) is not int:
+            raise ValueError(f"a timestamp is an int, not {self.timestamp!r}")
+        if not isinstance(self.payload, str):
+            raise ValueError(f"a payload is a string, not {self.payload!r}")
+        pairs = []
+        for key, digest in self.embedded:
+            if not isinstance(digest, str):
+                raise ValueError(f"a body digest is a string, not {digest!r}")
+            pairs.append(f"[{_key_text(key)},{_quote(digest)}]")
+        # the canonical text of the body plus the signer, cut where the id
+        # goes (after "embedded") and around the signer, which the body
+        # digest leaves out
+        embedded = '{"embedded":[' + ",".join(pairs) + "]"
+        body = (f'{embedded},"kind":{_quote(self.kind)},"parent":'
+                f'{"null" if self.parent is None else _quote(self.parent)},'
+                f'"payload":{_quote(self.payload)}')
+        signer = ',"signer":' + ("null" if self.signer is None
+                                 else _key_text(self.signer))
+        stamp = ',"timestamp":' + ("null" if self.timestamp is None
+                                   else str(self.timestamp)) + "}"
+        text = body + signer + stamp
+        object.__setattr__(self, "_canonical", (
+            text, len(embedded), len(body), len(body) + len(signer)))
+        object.__setattr__(self, "id", hashlib.sha256(text.encode()).hexdigest())
 
     # -- identity ---------------------------------------------------------
 
-    def body_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "parent": self.parent,
-            "timestamp": self.timestamp,
-            "payload": self.payload,
-            "embedded": [[k.to_json(), d] for k, d in self.embedded],
-        }
-
     def body_digest(self) -> str:
+        """SHA-256 of the canonical body: the message without its signer."""
         cached = self.__dict__.get("_body_digest")
         if cached is None:
-            data = CANONICAL_JSON.encode(self.body_json())
-            cached = hashlib.sha256(data.encode()).hexdigest()
+            text, _, body, signed = self._canonical
+            cached = hashlib.sha256(
+                (text[:body] + text[signed:]).encode()).hexdigest()
             object.__setattr__(self, "_body_digest", cached)
         return cached
 
-    def _digest(self) -> str:
-        body = self.body_json()
-        body["signer"] = None if self.signer is None else self.signer.to_json()
-        data = CANONICAL_JSON.encode(body)
-        return hashlib.sha256(data.encode()).hexdigest()
+    def canonical_json(self) -> str:
+        """``CANONICAL_JSON.encode(self.to_json())``, cut from the stored text."""
+        text, embedded, _, _ = self._canonical
+        return f'{text[:embedded]},"id":"{self.id}"{text[embedded:]}'
 
     # -- convenience ------------------------------------------------------
 
@@ -116,26 +142,48 @@ class Message:
         return (self.signer, self.body_digest())
 
     def to_json(self) -> dict:
-        data = self.body_json()
-        data["signer"] = None if self.signer is None else self.signer.to_json()
-        data["id"] = self.id
-        return data
+        return {
+            "kind": self.kind,
+            "parent": self.parent,
+            "timestamp": self.timestamp,
+            "payload": self.payload,
+            "embedded": [[list(k), d] for k, d in self.embedded],
+            "signer": None if self.signer is None else list(self.signer),
+            "id": self.id,
+        }
 
     @staticmethod
     def from_json(data: dict) -> "Message":
+        """The message of ``to_json``'s form; raises ``ValueError`` for a
+        field of the wrong type or an id that is not the content's."""
+        signer = data["signer"]
         msg = Message(
-            signer=None if data["signer"] is None else PublicKey.from_json(data["signer"]),
+            signer=None if signer is None else _key_from_json(signer),
             kind=data["kind"],
             parent=data["parent"],
             timestamp=data["timestamp"],
             payload=data["payload"],
             embedded=tuple(
-                (PublicKey.from_json(k), d) for k, d in data.get("embedded", [])
+                (_key_from_json(k), d) for k, d in data.get("embedded", [])
             ),
         )
         if "id" in data and data["id"] != msg.id:
             raise ValueError(f"message id mismatch: {data['id']} != {msg.id}")
         return msg
+
+
+def _key_text(key) -> str:
+    """The canonical JSON text of a key, ``[owner, index]``."""
+    owner, index = key
+    if not isinstance(owner, str) or type(index) is not int:
+        raise ValueError(f"a key is a (str, int) pair, not {tuple(key)!r}")
+    return f"[{_quote(owner)},{index}]"
+
+
+def _key_from_json(data) -> PublicKey:
+    if not isinstance(data, list) or len(data) != 2:
+        raise ValueError(f"a key is a [str, int] pair, not {data!r}")
+    return PublicKey(*data)  # the types are checked by _key_text
 
 
 def genesis_block(timed: bool) -> Message:

@@ -307,6 +307,8 @@ class DensityCertificateRule(ConfirmationRule):
         self.interval_len = int(interval_len)
         self.threshold = float(threshold)
         self.duration = int(duration)
+        self._memo_index: BlockIndex | None = None
+        self._memo: dict[str, tuple[int, str] | None] = {}
 
     # -- grid helpers -------------------------------------------------------
 
@@ -335,7 +337,21 @@ class DensityCertificateRule(ConfirmationRule):
         The block's timestamp must fall inside window i, and the block must
         hang off a chain of length i whose blocks all predate the window;
         that chain's last block is the leaf.
+
+        The answer depends only on the block's timestamp and ancestry, to
+        which its id commits, so it is kept per id: every holder of a block
+        asks, and the first one computes.  The memo holds the entries of
+        the last index asked about, so a rule reused for another run holds
+        that run's entries only.
         """
+        if self._memo_index is not index:
+            self._memo_index, self._memo = index, {}
+        memo = self._memo
+        if block_id not in memo:
+            memo[block_id] = self._admit(block_id, index)
+        return memo[block_id]
+
+    def _admit(self, block_id: str, index: BlockIndex) -> tuple[int, str] | None:
         i = self.window_of_timestamp(index.timestamp(block_id))
         if i is None or index.height(block_id) < i - 1:
             return None

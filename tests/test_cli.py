@@ -232,6 +232,60 @@ class TestValidate:
         assert code == 1
         assert f"{path}: malformed transcript: {problem}" in out
 
+    # (record type, field path, wrong value, the problem reported)
+    WRONG_TYPES = [
+        ("header", ("seed",), 5.0, "field 'seed' is 5.0, not an int"),
+        ("header", ("roster",), "p0", "field 'roster' is 'p0', not a list of "
+         "strings"),
+        ("delivery", ("slot",), "5", "field 'slot' is '5', not an int"),
+        ("delivery", ("msg_id",), None, "field 'msg_id' is None, not a string"),
+        ("delivery", ("type",), "vote", "unknown record type 'vote'"),
+        ("broadcast", ("proc",), 7, "field 'proc' is 7, not a string"),
+        ("broadcast", ("msg", "timestamp"), "3",
+         "a timestamp is an int, not '3'"),
+        ("broadcast", ("msg", "parent"), 5,
+         "a parent reference is a string, not 5"),
+        ("broadcast", ("msg", "payload"), None,
+         "a payload is a string, not None"),
+        ("broadcast", ("msg", "signer"), ["p0", True],
+         "a key is a (str, int) pair, not ('p0', True)"),
+        ("broadcast", ("msg", "embedded"), [[["p0", 0], 5]],
+         "a body digest is a string, not 5"),
+        ("grant", ("m_digest",), "x", "field 'm_digest' is 'x', not an int"),
+        ("grant", ("leader_slot",), False,
+         "field 'leader_slot' is False, not an int or null"),
+        ("grant", ("candidate",), [],
+         "field 'candidate' is [], not a string or null"),
+        ("grant", ("granted",), ["a", 1],
+         "field 'granted' is ['a', 1], not a list of strings"),
+        ("grant", ("key",), ["p0", "0"],
+         "field 'key' is ['p0', '0'], not a [str, int] key"),
+        ("confirm", ("len",), True, "field 'len' is True, not an int"),
+        ("confirm", ("tip",), 3, "field 'tip' is 3, not a string or null"),
+        ("end", ("broadcasts",), "1", "field 'broadcasts' is '1', not an int"),
+    ]
+
+    @pytest.mark.parametrize("kind,field,value,problem", WRONG_TYPES,
+                             ids=[f"{kind}-{'.'.join(field)}-{value!r}"
+                                  for kind, field, value, _ in WRONG_TYPES])
+    def test_a_wrong_typed_field_is_named(self, capsys, tmp_path, kind, field,
+                                          value, problem):
+        _, path = self.save_run(tmp_path)
+        lines = path.read_text().splitlines()
+        n = next(i for i, line in enumerate(lines)
+                 if json.loads(line)["type"] == kind)
+        rec = json.loads(lines[n])
+        *outer, last = field
+        target = rec
+        for name in outer:
+            target = target[name]
+        target[last] = value
+        lines[n] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        code, out, _ = run_cli(capsys, "validate", str(path))
+        assert code == 1
+        assert f"{path}: malformed transcript: line {n + 1}: {problem}" in out
+
     def test_cut_transcript_is_malformed(self, capsys, tmp_path):
         _, path = self.save_run(tmp_path)
         lines = path.read_text().splitlines(keepends=True)

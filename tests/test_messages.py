@@ -110,3 +110,27 @@ def test_payload_kind_carries_no_parent():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         Message(signer=PublicKey("p", 0), kind="vote")
+
+
+@pytest.mark.parametrize("fields,problem", [
+    ({"timestamp": "3"}, "a timestamp is an int"),
+    ({"timestamp": True}, "a timestamp is an int"),
+    ({"timestamp": 3.0}, "a timestamp is an int"),
+    ({"parent": 5}, "a parent reference is a string"),
+    ({"payload": None}, "a payload is a string"),
+    ({"embedded": ((PublicKey("p", 0), 5),)}, "a body digest is a string"),
+    ({"embedded": ((PublicKey("p", True), "d"),)}, "a key is a"),
+    ({"signer": PublicKey(5, 0)}, "a key is a"),
+])
+def test_wrong_typed_fields_are_refused(fields, problem):
+    # the canonical text is written from templates that hold for these
+    # types only
+    with pytest.raises(ValueError, match=problem):
+        Message(**{"signer": PublicKey("p", 0), "parent": "root", **fields})
+
+
+def test_from_json_refuses_a_key_that_is_not_a_pair():
+    data = make_block(PublicKey("p", 0), "root").to_json()
+    data["signer"] = ["p", 0, 1]
+    with pytest.raises(ValueError, match=r"a key is a \[str, int\] pair"):
+        Message.from_json(data)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permitsim.blocktree import BlockIndex, ancestors, longest_chain_tip
+from permitsim.engine import run_execution
 from permitsim.errors import ConfigError
 from permitsim.messages import PublicKey, genesis_block, make_block
 from permitsim.permitter import LeaderGrant, PermitResponse
@@ -21,7 +22,7 @@ from permitsim.protocols import (DensityCertificateRule, HonestStakeStrategy,
                                  StepContext, Strategy, density_threshold,
                                  interval_length_r)
 
-from conftest import build_chain
+from conftest import build_chain, stake_config
 
 P = PublicKey("p", 0)
 Q = PublicKey("q", 0)
@@ -169,6 +170,57 @@ class TestDensityRule:
     def test_empty_set_confirms_nothing(self):
         genesis, index = timed_genesis_index()
         assert self.rule().confirm([], index) == ()
+
+
+class _Unmemoized(DensityCertificateRule):
+    """The density rule computing every admission anew."""
+
+    def admit(self, block_id, index):
+        return self._admit(block_id, index)
+
+
+def density_stake_config(rule, seed=5):
+    cfg = stake_config(duration=300, seed=seed, label="stake-density")
+    cfg.confirmation = rule
+    return cfg
+
+
+class TestAdmitMemo:
+    def counted(self, monkeypatch):
+        calls = []
+        admit = DensityCertificateRule._admit
+
+        def counting(rule, block_id, index):
+            calls.append(block_id)
+            return admit(rule, block_id, index)
+
+        monkeypatch.setattr(DensityCertificateRule, "_admit", counting)
+        return calls
+
+    def test_admit_runs_once_per_block(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        plain = run_execution(density_stake_config(_Unmemoized(40, 20, 3, 300)))
+        per_holder = len(calls)
+        calls.clear()
+        t = run_execution(density_stake_config(DensityCertificateRule(
+            40, 20, 3, 300)))
+        assert t.to_bytes() == plain.to_bytes()
+        assert t.confirmations  # the rule confirms something
+        blocks = {mid for _, _, mid in t.broadcasts}
+        assert sorted(calls) == sorted(blocks)  # each block once
+        assert per_holder == 2 * len(blocks)  # each block in both views
+
+    def test_a_reused_rule_keeps_one_runs_entries(self):
+        rule = DensityCertificateRule(40, 20, 3, 300)
+        first = run_execution(density_stake_config(rule, seed=5))
+        second = run_execution(density_stake_config(rule, seed=6))
+        assert rule._memo_index is second.index
+        blocks = {mid for _, _, mid in second.broadcasts}
+        assert set(rule._memo) == blocks
+        assert set(rule._memo) != {mid for _, _, mid in first.broadcasts}
+        fresh = run_execution(density_stake_config(
+            DensityCertificateRule(40, 20, 3, 300), seed=6))
+        assert second.to_bytes() == fresh.to_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from permitsim.adversary import StakeWithholdStrategy
-from permitsim.engine import ProcessorSpec, run_execution
+from permitsim.engine import ProcessorSpec, Transcript, run_execution
 from permitsim.messages import PublicKey
 from permitsim.network import PARTIALLY_SYNCHRONOUS, SynchronySchedule
 from permitsim.permitter import WorkPermitter
@@ -133,6 +133,16 @@ def withheld_reward_config(lookahead=6):
     return cfg
 
 
+def odd_labels_config():
+    """Four miners whose ids and key groups hold a quote, a backslash, a
+    control character, non-ASCII and an astral character: the strings a
+    canonical JSON encoding must escape."""
+    owners = ('q"0', "b\\1", "\u00e9\t2", "\U0001F600 3")
+    balances = {PublicKey(o, 0): Fraction(1) for o in owners}
+    return work_config(duration=200, rate=Fraction(1, 3), balances=balances,
+                       label='odd "labels" \u00e9\U0001F600')
+
+
 def withheld_reward_lookahead_2_config():
     """The withheld rewarded pool under a permitter window of two slots."""
     cfg = withheld_reward_config(lookahead=2)
@@ -150,6 +160,7 @@ CONFIG_DIGESTS = {
     "withheld_reward_config": "7e8724240148c8ae3ccf4e572f52e07c8e6e48a39ea686a88432b4423768789d",
     "stake_lookahead_1_config": "a0f666663aab4ef4f774c527629eca91516bcab5fab98aa0e548f2e568c1583c",
     "withheld_reward_lookahead_2_config": "833142be8b5e1ffc0d49bc9798319008ad58d0343e24f1119c3dde923861c76d",
+    "odd_labels_config": "da586816e11d36232add4cb9904d08131db60c1711e4df753cc60f7ad3fa4dc2",
 }
 
 
@@ -166,16 +177,22 @@ def test_scenario_transcripts_are_unchanged(case, seed):
     assert digests == SCENARIO_DIGESTS[(case, seed)]
 
 
-@pytest.mark.parametrize("build", [work_config, stake_config,
-                                   partitioned_config, wide_random_config,
-                                   drift_pool_config, stake_reward_config,
-                                   withheld_reward_config,
-                                   stake_lookahead_1_config,
-                                   withheld_reward_lookahead_2_config],
-                         ids=lambda b: b.__name__)
+CONFIGS = [work_config, stake_config, partitioned_config, wide_random_config,
+           drift_pool_config, stake_reward_config, withheld_reward_config,
+           stake_lookahead_1_config, withheld_reward_lookahead_2_config,
+           odd_labels_config]
+
+
+@pytest.mark.parametrize("build", CONFIGS, ids=lambda b: b.__name__)
 def test_conftest_config_transcripts_are_unchanged(build):
     data = run_execution(build()).to_bytes()
     assert hashlib.sha256(data).hexdigest() == CONFIG_DIGESTS[build.__name__]
+
+
+@pytest.mark.parametrize("build", CONFIGS, ids=lambda b: b.__name__)
+def test_loaded_transcripts_give_back_their_bytes(build):
+    data = run_execution(build()).to_bytes()
+    assert Transcript.from_lines(data.decode().splitlines()).to_bytes() == data
 
 
 # an honest miner's idle slots (no delivery due, no grant pending) are not

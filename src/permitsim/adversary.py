@@ -287,6 +287,15 @@ class SimulationAttackerStrategy(Strategy):
                 runtimes[home].pending.append(resp)
         self._inner.step(ctx.slot)
 
+    @property
+    def standing(self) -> bool:
+        """True once released, and before while nothing is due in the
+        private world and the release waits on no slot."""
+        return self._released or (
+            self.release == "adaptive" and self._inner is not None and all(
+                rt.draws is not None and not rt.pending and not rt.inbox
+                for rt in self._inner.runtimes.values()))
+
     def _should_release(self, ctx: StepContext) -> bool:
         if self.release != "adaptive":
             return ctx.slot >= int(self.release)

@@ -258,6 +258,22 @@ def verify_transcript_invariants(transcript: Transcript) -> list[str]:
     store = transcript.store
     genesis_id = transcript.genesis.id
 
+    # the horizon: the header's, the schedule's, and every record's slot
+    duration = transcript.duration
+    schedule = SynchronySchedule.from_json(transcript.header["schedule"])
+    if duration != schedule.duration:
+        problems.append(f"header duration {duration} differs from the "
+                        f"schedule's {schedule.duration}")
+    for kind, slots in (
+            ("broadcast", [s for s, _, _ in transcript.broadcasts]),
+            ("delivery", [s for s, _, _ in transcript.deliveries]),
+            ("grant", [g["slot"] for g in transcript.grants]),
+            ("confirm", [s for s, _, _, _ in transcript.confirmations])):
+        outside = [s for s in slots if not 1 <= s <= duration]
+        if outside:
+            problems.append(f"{len(outside)} {kind} record(s) outside slots "
+                            f"1..{duration}, the first at slot {outside[0]}")
+
     first_broadcast: dict[str, int] = {}
     for slot, sender, mid in transcript.broadcasts:
         first_broadcast.setdefault(mid, slot)
@@ -351,7 +367,6 @@ def verify_transcript_invariants(transcript: Transcript) -> list[str]:
         last_by_proc[proc] = (tip, ln)
 
     # synchrony-bound conformance
-    schedule = SynchronySchedule.from_json(transcript.header["schedule"])
     delta = int(transcript.header["delta"])
     triples = [(sender, mid, slot) for slot, sender, mid in transcript.broadcasts]
     held = transcript.delivery_map()

@@ -177,17 +177,6 @@ def longest_chain_tip(block_ids, index: BlockIndex) -> str | None:
     return None if best is None else best[1]
 
 
-def is_chain(block_ids, index: BlockIndex) -> bool:
-    """True when the set is the full ancestry of a single block."""
-    ids = list(block_ids)
-    if not ids:
-        return False
-    tips = leaves(ids, index)
-    if len(tips) != 1:
-        return False
-    return set(ids) == set(index.ancestry(next(iter(tips))))
-
-
 # -- message sets -------------------------------------------------------------
 
 
@@ -244,6 +233,12 @@ class BlockSetView:
     def is_active(self, block_id: str) -> bool:
         """True when the block and its whole ancestry are held."""
         return block_id in self._active or self._on_base(block_id)
+
+    @property
+    def size(self) -> int:
+        """How many messages were added; a view only grows, so an equal
+        size is an unchanged view."""
+        return len(self._held)
 
     @property
     def digest(self) -> int:

@@ -151,17 +151,6 @@ class Transcript:
 
     # -- queries ------------------------------------------------------------
 
-    def ledger_ids(self, up_to_slot: int | None = None) -> list[str]:
-        """Ids of all messages broadcast by the given slot (genesis included)."""
-        cut = self.duration if up_to_slot is None else up_to_slot
-        out = [self.genesis.id]
-        seen = {self.genesis.id}
-        for slot, _sender, mid in self.broadcasts:
-            if slot <= cut and mid not in seen:
-                seen.add(mid)
-                out.append(mid)
-        return out
-
     def broadcast_slot(self, msg_id: str) -> int | None:
         for slot, _sender, mid in self.broadcasts:
             if mid == msg_id:
@@ -550,9 +539,10 @@ class Execution:
                         f"request under unowned key {req.key.label()}")
                 if (resp := permitter.respond(req, pool, slot, seed)) is not None:
                     self._grant(slot, rt, req, resp)
-            if rt.strategy.standing:  # a request no slot grants is dropped
-                rt.draws = [(req, draw) for req in requests
-                            if (draw := permitter.draw(req, pool, seed))]
+            # a request no slot grants is dropped
+            rt.draws = ([(req, draw) for req in requests
+                         if (draw := permitter.draw(req, pool, seed))]
+                        if rt.strategy.standing else None)
 
         # -- record confirmations (an idle processor's view is unchanged) ---
         for pid in contexts:  # roster order

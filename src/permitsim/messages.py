@@ -57,13 +57,14 @@ class PublicKey(namedtuple("PublicKey", ("owner", "index"), defaults=(0,))):
         return [self.owner, self.index]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Message:
     """An immutable message; blocks are messages of kind ``block``.
 
     ``embedded`` lists (key, body-digest) pairs the signer vouches for;
     a processor may only broadcast a message whose embedded pairs it has
-    either signed itself or previously received.
+    either signed itself or previously received.  ``id`` is derived from
+    the content, never given.
     """
 
     signer: PublicKey | None
@@ -72,39 +73,46 @@ class Message:
     timestamp: int | None = None
     payload: str = ""
     embedded: tuple[tuple[PublicKey, str], ...] = ()
-    id: str = field(default="", compare=False)
+    id: str = field(default="", compare=False, init=False)
 
-    def __post_init__(self):
-        if self.kind not in (BLOCK, PAYLOAD):
-            raise ValueError(f"unknown message kind {self.kind!r}")
-        if self.kind == PAYLOAD and self.parent is not None:
+    def __init__(self, signer: PublicKey | None, kind: str = BLOCK,
+                 parent: str | None = None, timestamp: int | None = None,
+                 payload: str = "", embedded: tuple = ()):
+        if kind not in (BLOCK, PAYLOAD):
+            raise ValueError(f"unknown message kind {kind!r}")
+        if kind == PAYLOAD and parent is not None:
             raise ValueError("payload messages carry no parent reference")
-        if self.parent is not None and not isinstance(self.parent, str):
-            raise ValueError(f"a parent reference is a string, not {self.parent!r}")
-        if self.timestamp is not None and type(self.timestamp) is not int:
-            raise ValueError(f"a timestamp is an int, not {self.timestamp!r}")
-        if not isinstance(self.payload, str):
-            raise ValueError(f"a payload is a string, not {self.payload!r}")
+        if parent is not None and not isinstance(parent, str):
+            raise ValueError(f"a parent reference is a string, not {parent!r}")
+        if timestamp is not None and type(timestamp) is not int:
+            raise ValueError(f"a timestamp is an int, not {timestamp!r}")
+        if not isinstance(payload, str):
+            raise ValueError(f"a payload is a string, not {payload!r}")
         pairs = []
-        for key, digest in self.embedded:
+        for key, digest in embedded:
             if not isinstance(digest, str):
                 raise ValueError(f"a body digest is a string, not {digest!r}")
             pairs.append(f"[{_key_text(key)},{_quote(digest)}]")
         # the canonical text of the body plus the signer, cut where the id
         # goes (after "embedded") and around the signer, which the body
         # digest leaves out
-        embedded = '{"embedded":[' + ",".join(pairs) + "]"
-        body = (f'{embedded},"kind":{_quote(self.kind)},"parent":'
-                f'{"null" if self.parent is None else _quote(self.parent)},'
-                f'"payload":{_quote(self.payload)}')
-        signer = ',"signer":' + ("null" if self.signer is None
-                                 else _key_text(self.signer))
-        stamp = ',"timestamp":' + ("null" if self.timestamp is None
-                                   else str(self.timestamp)) + "}"
-        text = body + signer + stamp
-        object.__setattr__(self, "_canonical", (
-            text, len(embedded), len(body), len(body) + len(signer)))
-        object.__setattr__(self, "id", hashlib.sha256(text.encode()).hexdigest())
+        head = '{"embedded":[' + ",".join(pairs) + "]"
+        body = (f'{head},"kind":{_quote(kind)},"parent":'
+                f'{"null" if parent is None else _quote(parent)},'
+                f'"payload":{_quote(payload)}')
+        signed = ',"signer":' + ("null" if signer is None
+                                 else _key_text(signer))
+        text = (f'{body}{signed},"timestamp":'
+                f'{"null" if timestamp is None else timestamp}}}')
+        # frozen: each field is set once, past the refusing __setattr__, and
+        # key by key, so that every message shares its dict's key table
+        fields = self.__dict__
+        fields["signer"], fields["kind"], fields["parent"] = signer, kind, parent
+        fields["timestamp"], fields["payload"] = timestamp, payload
+        fields["embedded"] = embedded
+        fields["id"] = hashlib.sha256(text.encode()).hexdigest()
+        fields["_canonical"] = (text, len(head), len(body),
+                                len(body) + len(signed))
 
     # -- identity ---------------------------------------------------------
 

@@ -37,14 +37,18 @@ A draw is ``rng.substream_u64(seed, tag, owner, index, *rest)`` with the
 tag ``"work"`` or ``"stake"``.  Each permitter keeps an ``rng.Prefix``,
 the SHA-256 state after ``(seed, tag, owner, index)``, per (seed, key),
 so a request hashes only its own labels.  ``WorkPermitter.draw`` checks
-a request and finds its encoded ``(m_digest, candidate id)`` tail once,
-then draws it at any slot; ``respond`` draws at one slot.  The work
-permitter keeps each key's last tail, which a standing request's draw
-reuses right after ``respond``, and the encoding of the slot last drawn
-in.  Neither cache changes a draw.  Both pay: over two trials of 30
-honest miners for 1000 slots, the tail is reused on 50.0% of the draws
-and the slot encoding on 96.7% of the slots drawn; over two trials of
-the hidden-total simulation attack, on 67.3% and 83.2%.
+a request and encodes its ``(m_digest, candidate id)`` tail once, then
+draws it at any slot; ``respond`` draws at one slot.  The work permitter
+keeps each key's last set-up (request, view size, draw) and hands the
+draw back when the same request comes again over an unchanged view, as
+after ``respond`` at a standing miner's event and in the simulation
+attacker's repeated forwards.  The draws share the encoding of the slot
+last drawn in, and no stored draw refers back to the permitter.
+Neither memo changes a draw.  Over two trials of 30 honest miners for
+1000 slots, 50.0% of the draws asked for reuse a set-up and 96.7% of
+the slots drawn reuse their encoding; over two trials of the
+hidden-total simulation attack, 58.3% (5,299 set-ups for 12,710 asks)
+and 83.2%.
 """
 
 from __future__ import annotations
@@ -110,12 +114,24 @@ def _cutoff(threshold: Fraction) -> int:
     return -(-threshold.numerator * 2**64 // threshold.denominator)
 
 
+def _fresh_cutoff(rate: Fraction, scale: Fraction | None, pool: ResourcePool,
+                  key: PublicKey, slot: int, view) -> int:
+    """min(1, rate * balance / scale)'s cutoff; ``None`` scales by the total."""
+    balance = pool.balance_of(key, slot, view)
+    if balance == 0:
+        return 0  # hard rule: zero balance is never granted
+    if scale is None:
+        scale = pool.total(slot, view)
+    return _cutoff(min(Fraction(1), rate * balance / scale))
+
+
 class _Lottery:
     """A balance-weighted lottery's integer grant cutoffs and draws.
 
-    Subclasses give the threshold min(1, rate * balance / scale) through
-    ``_scale``.  A cutoff is cached per (pool, key) only while the pool
-    is constant; a zero balance gives cutoff 0, which denies every draw.
+    The threshold is min(1, rate * balance / scale), where ``_scale`` is
+    the pool's realized total unless a subclass names a determined scale.
+    A cutoff is cached per (pool, key) only while the pool is constant; a
+    zero balance gives cutoff 0, which denies every draw.
     Draws come from a per-(seed, key) ``rng.Prefix`` of the subclass's
     ``tag``.
     """
@@ -136,26 +152,20 @@ class _Lottery:
         """The permitter's entry in a transcript header."""
         return {"family": type(self).__name__, "rate": str(self.rate)}
 
-    def _scale(self, pool: ResourcePool, slot: int, view) -> Fraction:
-        raise NotImplementedError
+    def _scale(self, pool: ResourcePool) -> Fraction | None:
+        """A determined scale, or ``None`` for the pool's realized total."""
+        return None
 
     def _cutoff_for(self, pool: ResourcePool, key: PublicKey, slot: int,
                     view) -> int:
         cutoff = self._cutoffs.get((pool, key))
         if cutoff is not None:  # only constant pools are cached
             return cutoff
-        cutoff = self._fresh_cutoff(pool, key, slot, view)
+        cutoff = _fresh_cutoff(self.rate, self._scale(pool), pool, key, slot,
+                               view)
         if pool.is_constant:
             self._cutoffs[(pool, key)] = cutoff
         return cutoff
-
-    def _fresh_cutoff(self, pool: ResourcePool, key: PublicKey, slot: int,
-                      view) -> int:
-        balance = pool.balance_of(key, slot, view)
-        if balance == 0:
-            return 0  # hard rule: zero balance is never granted
-        return _cutoff(min(Fraction(1),
-                           self.rate * balance / self._scale(pool, slot, view)))
 
     def _new_prefix(self, seed: int, key: PublicKey) -> rng.Prefix:
         """The hash state of (seed, tag, owner, index), made on first use."""
@@ -184,10 +194,9 @@ class WorkPermitter(_Lottery):
         )
         if self.reference_scale is not None and self.reference_scale <= 0:
             raise ConfigError("reference scale must be positive")
-        # key -> (m_digest, candidate id, their encoding) of its last draw
-        self._tails: dict[PublicKey, tuple[int, str, bytes]] = {}
-        self._slot = None  # the last slot drawn for, and its encoding
-        self._slot_bytes = b""
+        # key -> (request, view size, pool, seed, draw) of its last set-up
+        self._last: dict[PublicKey, tuple] = {}
+        self._slot = [None, b""]  # the last slot drawn for, its encoding
 
     def describe(self) -> dict:
         desc = super().describe()
@@ -195,9 +204,9 @@ class WorkPermitter(_Lottery):
             desc["reference_scale"] = str(self.reference_scale)
         return desc
 
-    def _scale(self, pool: ResourcePool, slot: int, view) -> Fraction:
+    def _scale(self, pool: ResourcePool) -> Fraction | None:
         if pool.mode == SIZED:
-            return pool.total(slot, view)
+            return None
         if self.reference_scale is not None:
             return self.reference_scale
         return pool.bounds[0]
@@ -210,8 +219,14 @@ class WorkPermitter(_Lottery):
     def draw(self, request: PermitRequest, pool: ResourcePool, seed: int):
         """``respond`` as a function of the slot while the request's view
         holds, or ``None`` when no slot can grant it: a slot costs one
-        state copy, update, digest and compare."""
+        state copy, update, digest and compare.  The same request over an
+        unchanged view gets the same function back."""
         key, view, cand = request.key, request.view, request.candidate
+        size = view.size
+        last = self._last.get(key)
+        if (last is not None and last[0] is request and last[1] == size
+                and last[2] is pool and last[3] == seed):
+            return last[4]
         # a constant pool reads no slot; any other is read at every slot
         fixed = self._cutoff_for(pool, key, 0, view) if pool.is_constant else None
         parent = cand.parent if cand is not None else None
@@ -221,20 +236,22 @@ class WorkPermitter(_Lottery):
                 or not view.is_active(parent)
                 # the parent must be a tip of a longest chain in M
                 or view.index.height(parent) + 1 != view.longest_length):
-            return None
-        m_digest, cid = request.m_digest, cand.id
-        tail = self._tails.get(key)
-        if tail is None or tail[0] != m_digest or tail[1] != cid:
-            tail = self._tails[key] = (m_digest, cid, rng.encode(m_digest, cid))
-        prefix = self._prefixes.get((seed, key)) or self._new_prefix(seed, key)
+            draw_at = None
+        else:
+            prefix = self._prefixes.get((seed, key)) or self._new_prefix(seed, key)
+            tail = rng.encode(request.m_digest, cand.id)
+            # the draw holds values, never the permitter it is stored in
+            rate, scale, last_slot = self.rate, self._scale(pool), self._slot
 
-        def draw_at(slot: int) -> PermitResponse | None:
-            if slot != self._slot:
-                self._slot, self._slot_bytes = slot, rng.encode(slot)
-            cutoff = self._fresh_cutoff(pool, key, slot, view) if fixed is None else fixed
-            if prefix.u64_of(self._slot_bytes + tail[2]) < cutoff:
-                return PermitResponse(key=key, granted=(cand,))
-            return None
+            def draw_at(slot: int) -> PermitResponse | None:
+                if slot != last_slot[0]:
+                    last_slot[0], last_slot[1] = slot, rng.encode(slot)
+                cutoff = (_fresh_cutoff(rate, scale, pool, key, slot, view)
+                          if fixed is None else fixed)
+                if prefix.u64_of(last_slot[1] + tail) < cutoff:
+                    return PermitResponse(key=key, granted=(cand,))
+                return None
+        self._last[key] = (request, size, pool, seed, draw_at)
         return draw_at
 
 
@@ -267,9 +284,6 @@ class StakePermitter(_Lottery):
 
     def describe(self) -> dict:
         return {**super().describe(), "lookahead": self.lookahead}
-
-    def _scale(self, pool: ResourcePool, slot: int, view) -> Fraction:
-        return pool.total(slot, view)
 
     def respond(self, request: PermitRequest, pool: ResourcePool, slot: int,
                 seed: int) -> PermitResponse | None:

@@ -65,8 +65,9 @@ class StepContext:
 
 class Strategy:
     """Base protocol: receive, broadcast, request — in that order.  On a
-    slot with no delivery or response, a ``standing`` one changes nothing
-    and asks what it asked last; a subclass overriding a hook restates it."""
+    slot with no delivery or response, a ``standing`` one (read after each
+    slot it is stepped) changes nothing and asks what it asked last; a
+    subclass overriding a hook restates it."""
 
     name = "abstract"
     standing = False
@@ -318,10 +319,6 @@ class DensityCertificateRule(ConfirmationRule):
         if i < 1 or end > self.duration:
             return None
         return (start, end)
-
-    def max_index(self) -> int:
-        i = (self.duration - self.interval_len) // self.spacing
-        return max(i, 0)
 
     def window_of_timestamp(self, ts: int) -> int | None:
         if ts is None or ts < self.spacing:

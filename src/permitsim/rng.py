@@ -28,10 +28,8 @@ permitters keep one per (seed, key) for their lottery draws.
 from __future__ import annotations
 
 import hashlib
-import random
 import struct
 
-_U64 = 2**64
 _length = struct.Struct("<I").pack  # a part's 4-byte little-endian length
 _first_u64 = struct.Struct("<Q").unpack_from  # a digest's first 8 bytes
 
@@ -97,18 +95,8 @@ class Prefix:
         return _first_u64(state.digest())[0]
 
 
-def uniform(seed: int, *parts) -> float:
-    """A uniform float in [0, 1) tied to (seed, *parts)."""
-    return substream_u64(seed, *parts) / _U64
-
-
 def uniform_int(seed: int, lo: int, hi: int, *parts) -> int:
     """A uniform integer in [lo, hi] tied to (seed, *parts)."""
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
     return lo + substream_u64(seed, *parts) % (hi - lo + 1)
-
-
-def stream(seed: int, *parts) -> random.Random:
-    """A seeded random.Random for choice points needing many draws."""
-    return random.Random(substream_u64(seed, *parts))

@@ -130,7 +130,8 @@ def inner_specs():
 
 
 def sim_pair(*, duration=700, rate=Fraction(1, 12), confirm_k=2, seed=21,
-             max_delay=2, reference_scale=3):
+             max_delay=2, reference_scale=3,
+             attacker=SimulationAttackerStrategy):
     """(inner world config, attacked config, attacker handle)."""
     bounds = (Fraction(reference_scale), Fraction(2 * len(MAJ) + len(MIN)))
     permitter = WorkPermitter(rate, reference_scale=reference_scale)
@@ -151,7 +152,7 @@ def sim_pair(*, duration=700, rate=Fraction(1, 12), confirm_k=2, seed=21,
     made = []
 
     def factory():
-        made.append(SimulationAttackerStrategy(
+        made.append(attacker(
             inner_processors=inner_specs(),
             inner_timing=PerEdgeRandomRule(max_delay, seed),
             confirm_k=confirm_k, release="adaptive", margin=1))
@@ -208,6 +209,28 @@ class TestSimulationAttack:
         inner_history = [mid for slot, _, mid in inner_t.broadcasts
                          if slot <= released_at]
         assert released == inner_history
+
+    def test_an_idle_private_world_is_not_stepped(self, monkeypatch):
+        """Between events the attacker stands and its private world is
+        not stepped; the attacked run keeps every byte."""
+        slots = []
+        receive = SimulationAttackerStrategy.on_receive
+
+        def counted(self, ctx):
+            slots.append(ctx.slot)
+            receive(self, ctx)
+
+        monkeypatch.setattr(SimulationAttackerStrategy, "on_receive", counted)
+        runs, stepped = [], []
+        for attacker in (SimulationAttackerStrategy, _SteppedEverySlot):
+            slots.clear()
+            _, attacked_cfg, made = sim_pair(attacker=attacker)
+            runs.append(run_execution(attacked_cfg).to_bytes())
+            released_at = made[-1].released_at
+            stepped.append(sum(slot <= released_at for slot in slots))
+        assert runs[0] == runs[1]
+        assert stepped[1] == released_at  # every slot up to the release
+        assert stepped[0] < released_at / 2, stepped
 
     def test_release_flips_the_public_chain(self):
         _, attacked_cfg, made = sim_pair()
@@ -283,6 +306,12 @@ class TestSimulationAttack:
             run_execution(attacked_cfg)
         assert (fault.value.processor, fault.value.slot) == ("alpha0", 3)
         assert "not permitted" in fault.value.clause
+
+
+class _SteppedEverySlot(SimulationAttackerStrategy):
+    """The simulation attacker without standing."""
+
+    standing = False
 
 
 class _ForgeAtSlot3(HonestWorkStrategy):

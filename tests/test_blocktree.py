@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permitsim.blocktree import (BlockIndex, BlockSetView, compatible,
-                                 complete_in, is_chain, leaves,
+                                 complete_in, leaves,
                                  longest_chain_tip)
 from permitsim.errors import DanglingBlockError
 from permitsim.messages import PublicKey, genesis_block, make_block
@@ -85,13 +85,11 @@ class TestTreeQueries:
         ids = [genesis.id, c.id, d.id]
         assert longest_chain_tip(ids, index) == min(c.id, d.id)
 
-    def test_complete_in_and_is_chain(self, index, genesis, fork):
+    def test_complete_in(self, index, genesis, fork):
         a, _ = fork
         present = {genesis.id, a[0].id, a[1].id}
         assert complete_in(a[1].id, present, index)
         assert not complete_in(a[2].id, present, index)
-        assert is_chain([genesis.id, a[0].id], index)
-        assert not is_chain([a[0].id, a[2].id], index)  # gap at a1
 
     def test_ancestors_is_the_inclusive_chain(self, index, genesis, fork):
         a, _ = fork

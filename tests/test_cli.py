@@ -205,6 +205,36 @@ class TestValidate:
         assert code == 1
         assert "problem" in out and "twice" in out
 
+    def rewrite(self, path, kind, change):
+        """Apply ``change`` to the first record of type ``kind``."""
+        lines = path.read_text().splitlines()
+        n = next(i for i, line in enumerate(lines)
+                 if json.loads(line)["type"] == kind)
+        rec = json.loads(lines[n])
+        change(rec)
+        lines[n] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_a_header_duration_off_the_schedule_fails(self, capsys, tmp_path):
+        path = tmp_path / "run.transcript"
+        run_execution(work_config(duration=30)).save(path)
+        self.rewrite(path, "header", lambda rec: rec.update(duration=10))
+        code, out, _ = run_cli(capsys, "validate", str(path))
+        assert code == 1
+        assert "header duration 10 differs from the schedule's 30" in out
+
+    @pytest.mark.parametrize("kind,slot", [
+        ("broadcast", 31), ("delivery", 31), ("grant", 0), ("confirm", 0)])
+    def test_a_record_outside_the_horizon_fails(self, capsys, tmp_path, kind,
+                                                slot):
+        path = tmp_path / "run.transcript"
+        run_execution(work_config(duration=30)).save(path)
+        self.rewrite(path, kind, lambda rec: rec.update(slot=slot))
+        code, out, _ = run_cli(capsys, "validate", str(path))
+        assert code == 1
+        assert (f"1 {kind} record(s) outside slots 1..30, the first at "
+                f"slot {slot}") in out
+
     def test_security_report_flag(self, capsys, tmp_path):
         _, path = self.save_run(tmp_path)
         code, out, _ = run_cli(capsys, "validate", str(path),

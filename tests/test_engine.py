@@ -74,18 +74,6 @@ def transcript():
 
 
 class TestTranscriptQueries:
-    def test_ledger_starts_at_genesis_in_broadcast_order(self, transcript):
-        ledger = transcript.ledger_ids()
-        assert ledger[0] == transcript.genesis.id
-        slots = [transcript.broadcast_slot(m) for m in ledger[1:]]
-        assert slots == sorted(slots)
-
-    def test_ledger_prefix_by_slot(self, transcript):
-        full = transcript.ledger_ids()
-        half = transcript.ledger_ids(up_to_slot=100)
-        assert full[:len(half)] == half
-        assert all(transcript.broadcast_slot(m) <= 100 for m in half[1:])
-
     def test_no_self_delivery(self, transcript):
         sent_by = {mid: proc for _, proc, mid in transcript.broadcasts}
         for _, receiver, mid in transcript.deliveries:

@@ -1,5 +1,6 @@
 """Message identity, serialization, and the vouching pairs."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -120,6 +121,7 @@ def test_unknown_kind_rejected():
     ({"embedded": ((PublicKey("p", 0), 5),)}, "a body digest is a string"),
     ({"embedded": ((PublicKey("p", True), "d"),)}, "a key is a"),
     ({"signer": PublicKey(5, 0)}, "a key is a"),
+    ({"kind": None}, "unknown message kind"),
 ])
 def test_wrong_typed_fields_are_refused(fields, problem):
     # the canonical text is written from templates that hold for these
@@ -133,3 +135,46 @@ def test_from_json_refuses_a_key_that_is_not_a_pair():
     data["signer"] = ["p", 0, 1]
     with pytest.raises(ValueError, match=r"a key is a \[str, int\] pair"):
         Message.from_json(data)
+
+
+def test_a_message_survives_pickling_with_its_identity():
+    key = PublicKey("p", 2)
+    msg = make_block(key, "root", timestamp=4, payload="x",
+                     embedded=((key, "d"),))
+    back = pickle.loads(pickle.dumps(msg))
+    assert back == msg and back.id == msg.id
+    assert back.body_digest() == msg.body_digest()
+    assert back.canonical_json() == msg.canonical_json()
+
+
+def test_replace_builds_the_changed_message():
+    msg = make_block(PublicKey("p", 0), "root", payload="x")
+    moved = dataclasses.replace(msg, payload="y", timestamp=3)
+    again = make_block(PublicKey("p", 0), "root", payload="y", timestamp=3)
+    assert moved == again and moved.id == again.id != msg.id
+    assert moved.canonical_json() == again.canonical_json()
+    with pytest.raises(ValueError, match="a timestamp is an int"):
+        dataclasses.replace(msg, timestamp="3")
+    with pytest.raises(ValueError):  # the id is derived, never given
+        dataclasses.replace(msg, id="0" * 64)
+
+
+def test_equality_and_hash_follow_the_content():
+    a = make_block(PublicKey("p", 0), "root", payload="x")
+    b = make_block(PublicKey("p", 0), "root", payload="x")
+    c = make_block(PublicKey("q", 0), "root", payload="x")
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert a != c and len({a, b, c}) == 2
+    # the id takes no part in equality or the hash
+    assert [f.name for f in dataclasses.fields(Message)
+            if not f.compare] == ["id"]
+    assert hash(a) == hash((a.signer, a.kind, a.parent, a.timestamp,
+                            a.payload, a.embedded))
+
+
+def test_a_message_is_frozen():
+    msg = make_block(PublicKey("p", 0), "root")
+    for name in ("payload", "id", "parent"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(msg, name, "x")
+    assert msg == make_block(PublicKey("p", 0), "root")

@@ -1,6 +1,9 @@
 """Permitters: grant laws, request validity, and the budget rules."""
 
+import copy
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from permitsim.blocktree import BlockIndex, BlockSetView
+from permitsim.engine import run_execution
 from permitsim.errors import ConfigError, SettingMismatchError
 from permitsim.messages import (PAYLOAD, Message, PublicKey, genesis_block,
                                 make_block)
@@ -16,7 +20,10 @@ from permitsim.permitter import (LeaderGrant, PermitRequest, PermitResponse,
                                  StakePermitter, WorkPermitter, _cutoff,
                                  enforce_request_budget)
 from permitsim.resource_pool import (SIZED, UNSIZED, ConstantBalancePool,
-                                     ScriptedPool, StakePool)
+                                     ScriptedPool, StakePool,
+                                     sample_unsized_pool)
+
+from conftest import work_config
 
 KEY = PublicKey("p", 0)
 OTHER = PublicKey("q", 0)
@@ -206,6 +213,87 @@ class TestWorkPermitter:
         # 0 would divide by zero at the first request; -3 would grant nothing
         with pytest.raises(ConfigError, match="reference scale"):
             WorkPermitter(Fraction(1, 4), reference_scale=scale)
+
+
+def drifting_pool():
+    return ConstantBalancePool({KEY: 1, OTHER: 1}, mode=UNSIZED,
+                               bounds=(1, 4),
+                               profile=lambda slot: Fraction(1 + slot % 4))
+
+
+class TestDrawMemo:
+    """The work permitter keeps each key's last set-up: the same request
+    over an unchanged view gets the same draw back."""
+
+    def test_respond_then_draw_sets_up_once(self, monkeypatch):
+        setups = []  # a set-up reads a constant pool's cutoff once
+        cutoff_for = WorkPermitter._cutoff_for
+
+        def counted(self, *args):
+            setups.append(args)
+            return cutoff_for(self, *args)
+
+        monkeypatch.setattr(WorkPermitter, "_cutoff_for", counted)
+        pool = ConstantBalancePool({KEY: 1}, mode=SIZED)
+        permitter = WorkPermitter(Fraction(1, 2))
+        view, genesis = fresh_view()
+        req, _ = work_request(view, genesis)
+        resp = permitter.respond(req, pool, 4, seed=3)
+        draw = permitter.draw(req, pool, 3)
+        assert len(setups) == 1
+        assert draw(4) == resp
+        assert permitter.draw(req, pool, 3) is draw
+        # another seed, pool or request object is set up afresh
+        permitter.draw(req, pool, 5)
+        permitter.draw(req, ConstantBalancePool({KEY: 1}, mode=SIZED), 5)
+        permitter.draw(copy.copy(req), pool, 5)
+        assert len(setups) == 4
+
+    @pytest.mark.parametrize("pool", [
+        ConstantBalancePool({KEY: 1, OTHER: 1}, mode=SIZED),
+        drifting_pool(),
+        ScriptedPool([(1, {KEY: 1, OTHER: 1}), (20, {KEY: 0, OTHER: 1})]),
+    ], ids=["constant", "drift", "scripted-to-zero"])
+    def test_a_request_over_a_grown_view_answers_like_a_fresh_one(self, pool):
+        view, genesis = fresh_view()
+        shared = WorkPermitter(Fraction(1, 2), reference_scale=2)
+        reqs = [work_request(view, genesis, key=key)[0] for key in (KEY, OTHER)]
+        got = []
+        for slot in range(1, 41):
+            if slot % 7 == 0:  # the set grows, its longest chain holds
+                view.add(Message(signer=OTHER, kind=PAYLOAD,
+                                 payload=f"m{slot}"))
+            if slot == 30:  # the candidates stop extending the longest tip
+                view.add(make_block(OTHER, genesis.id, payload="b30"))
+            for req in reqs:
+                fresh = WorkPermitter(Fraction(1, 2), reference_scale=2)
+                expected = fresh.respond(copy.copy(req), pool, slot, 9)
+                assert shared.respond(req, pool, slot, 9) == expected
+                draw = shared.draw(req, pool, 9)
+                assert (draw(slot) if draw else None) == expected
+                got.append((slot < 30, expected is None))
+        assert (True, False) in got and (True, True) in got
+        assert (False, False) not in got
+
+    @pytest.mark.parametrize("pool", ["constant", "drift"])
+    def test_a_finished_run_frees_its_permitter(self, pool):
+        """No stored draw refers back to the permitter, so reference
+        counting alone frees it with the run."""
+        config = work_config(duration=200)
+        if pool == "drift":
+            config.pool = sample_unsized_pool(
+                (3, 6), {f"p{i}": Fraction(1, 3) for i in range(3)},
+                profile="drift", seed=5, duration=200)
+            config.permitter = WorkPermitter(Fraction(1, 10), reference_scale=3)
+        gc.disable()
+        try:
+            transcript = run_execution(config)
+            assert transcript.grants
+            ref = weakref.ref(config.permitter)
+            del config, transcript
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestStakePermitter:

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permitsim.blocktree import BlockIndex, BlockSetView, longest_chain_tip
-from permitsim.engine import run_execution
+from permitsim.engine import ProcessorSpec, run_execution
 from permitsim.errors import ConfigError
 from permitsim.messages import PublicKey, genesis_block, make_block
+from permitsim.network import UniformDelayRule
 from permitsim.permitter import LeaderGrant, PermitResponse
 from permitsim.adversary import (PrivateForkStrategy,
                                  SimulationAttackerStrategy,
@@ -111,7 +112,6 @@ class TestDensityRule:
         assert rule.window(1) == (10, 14)
         assert rule.window(0) is None          # index 0 is never a window
         assert rule.window(6) is None          # past the duration
-        assert rule.max_index() == 5
         assert rule.window_of_timestamp(12) == 1
         assert rule.window_of_timestamp(15) is None   # in the gap
         assert rule.window_of_timestamp(9) is None
@@ -361,13 +361,52 @@ class TestHonestWorkCandidates:
         assert moved.id == make_block(P, block.id).id != first.id
 
 
+def attacker_step(view, slot, responses=()):
+    return StepContext(slot=slot, processor_id="omega", keys=(P, Q),
+                       view=view, responses=responses, delivered=(),
+                       duration=100, delta=2, epsilon=0.1, timed=False,
+                       lookahead=0)
+
+
 class TestStanding:
-    def test_only_the_honest_miner_stands(self):
+    def test_only_the_honest_miner_stands(self, view):
+        """The honest miner always stands and the simulation attacker only
+        while nothing is due in its private world: no delivery queued, no
+        response pending, and a release that waits on no slot."""
         assert HonestWorkStrategy.standing
         for cls in (Strategy, ObserverStrategy, HonestStakeStrategy,
-                    PrivateForkStrategy, StakeWithholdStrategy,
-                    SimulationAttackerStrategy):
+                    PrivateForkStrategy, StakeWithholdStrategy):
             assert not cls.standing, cls.__name__
+        inner = [ProcessorSpec(id=f"in{i}", keys=(key,),
+                               strategy=HonestWorkStrategy)
+                 for i, key in enumerate((P, Q))]
+
+        def attacker(release):
+            return SimulationAttackerStrategy(inner, UniformDelayRule(1), 2,
+                                              release=release)
+
+        adaptive, fixed = attacker("adaptive"), attacker(50)
+        assert not adaptive.standing  # its world has not started
+        for strategy in (adaptive, fixed):
+            strategy.on_receive(attacker_step(view, 1))
+        assert adaptive.standing
+        assert not fixed.standing  # it must look at every slot
+        # a grant to the private world: its block is broadcast at slot 2
+        # and is due at the other simulated miner at slot 3
+        for strategy in (adaptive, fixed):
+            request = strategy.plan_requests(attacker_step(view, 1))[0]
+            granted = PermitResponse(key=request.key,
+                                     granted=(request.candidate,))
+            strategy.on_receive(attacker_step(view, 2, (granted,)))
+        assert not adaptive.standing
+        for strategy in (adaptive, fixed):
+            strategy.on_receive(attacker_step(view, 3))
+        assert adaptive.standing
+        assert not fixed.standing
+        fixed.on_receive(attacker_step(view, 50))
+        assert [m.id for m in fixed.plan_broadcasts(
+            attacker_step(view, 50))] == [granted.granted[0].id]
+        assert fixed.standing  # a released attacker only receives
 
     def test_a_subclass_that_overrides_a_hook_does_not_stand(self):
         class Forging(HonestWorkStrategy):

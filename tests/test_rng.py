@@ -65,20 +65,6 @@ def test_uniform_int_bounds():
     assert values == {1, 2, 3, 4}  # 400 draws over 4 cells miss nothing
 
 
-def test_uniform_in_unit_interval():
-    xs = [rng.uniform(7, "u", i) for i in range(1000)]
-    assert all(0.0 <= x < 1.0 for x in xs)
-    mean = sum(xs) / len(xs)
-    # 1000 uniforms: sd of the mean is ~0.0091, allow 4 sigma
-    assert abs(mean - 0.5) < 0.037
-
-
-def test_stream_reproducible():
-    s1 = rng.stream(3, "shuffle", "x")
-    s2 = rng.stream(3, "shuffle", "x")
-    assert [s1.random() for _ in range(5)] == [s2.random() for _ in range(5)]
-
-
 def test_threshold_draw_rate_on_grid():
     """Empirical grant frequency tracks the exact threshold within 3 sigma.
 

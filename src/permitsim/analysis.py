@@ -26,6 +26,7 @@ cross-check the structured one on small ledgers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -65,36 +66,49 @@ class LivenessReport:
 
 def measure_liveness(transcript: Transcript,
                      processors: list[str] | None = None) -> LivenessReport:
-    """Growth series over the given processors (default: honest roster)."""
+    """Growth series over the given processors (default: honest roster).
+
+    One pass over the confirmation change points, which the engine writes
+    in slot order: between two change points every processor's confirmed
+    length holds, and so do both series.
+    """
     if processors is None:
         processors = [p for p in transcript.roster_ids
                       if p not in transcript.adversary_ids]
     if not processors:
         raise ConfigError("liveness needs at least one processor to watch")
-    series = [transcript.confirmed_series(p) for p in processors]
     duration = transcript.duration
-    min_len, prefix_max_len = [], []
-    running_max = 0
-    for t in range(duration):
-        lens = [s[t][1] for s in series]
-        min_len.append(min(lens))
-        running_max = max(running_max, max(lens))
-        prefix_max_len.append(running_max)
-
-    # smallest ell such that for all t2: min[t2] > prefix_max[t2 - ell]
+    current = dict.fromkeys(processors, 0)  # confirmed length per processor
+    min_len: list[int] = []
+    prefix_max_len: list[int] = []
+    high = 0
     minimal = 0
-    for t2 in range(1, duration + 1):
-        v = min_len[t2 - 1]
-        # rightmost t in [1, t2] with prefix_max[t] < v (0 when none)
-        lo, hi, t0 = 1, t2, 0
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if prefix_max_len[mid - 1] < v:
-                t0 = mid
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        minimal = max(minimal, t2 - t0)
+
+    # smallest ell such that for all t2: min[t2] > prefix_max[t2 - ell].
+    # prefix_max is monotone, so the t with prefix_max[t] < v are a prefix
+    # of the slots and t0, the rightmost of them up to t2 (0 when none), is
+    # a bisection; t2 - t0 grows while min[t2] holds, so only the last
+    # slot before each change point needs it.
+    def settle(through: int) -> None:
+        nonlocal high, minimal
+        low = min(current.values())
+        high = max(high, *current.values())
+        gap = through - len(min_len)
+        min_len.extend([low] * gap)
+        prefix_max_len.extend([high] * gap)
+        minimal = max(minimal, through - bisect_left(
+            prefix_max_len, low, 0, through))
+
+    for slot, proc, _tip, ln in transcript.confirmations:
+        if slot > duration:
+            break
+        if proc not in current:
+            continue
+        if slot > len(min_len) + 1:
+            settle(slot - 1)
+        current[proc] = ln
+    if len(min_len) < duration:
+        settle(duration)
     return LivenessReport(duration=duration, min_len=min_len,
                           prefix_max_len=prefix_max_len,
                           minimal_uniform_ell=minimal)

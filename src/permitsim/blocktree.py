@@ -203,6 +203,7 @@ class BlockSetView:
         self._active: set[str] = set()
         self._dangling_by_parent: dict[str, list[str]] = {}
         self._tip = self._base
+        self._tip_height = self._base_height
         self._digest = index.chain_digest(self._base)
 
     @classmethod
@@ -253,7 +254,7 @@ class BlockSetView:
     @property
     def longest_length(self) -> int:
         """Length of the longest active chain, genesis included."""
-        return self.index.height(self._tip) + 1
+        return self._tip_height + 1
 
     def ids(self) -> set[str]:
         return set(self.index.ancestry(self._base)) | self._held
@@ -265,32 +266,42 @@ class BlockSetView:
 
         Payload messages and duplicates activate nothing.  A block whose
         parent is not yet active is parked and activated (together with any
-        waiting descendants) once the gap closes.
+        waiting descendants) once the gap closes.  A block that extends an
+        active parent while nothing is parked, the usual case, activates
+        only itself.
         """
-        if msg.id in self._held or self._on_base(msg.id):
+        mid = msg.id
+        if mid in self._held or self._on_base(mid):
             return []
-        self._held.add(msg.id)
-        self._digest ^= _id_bits(msg.id)
-        if msg.is_block:
-            self.index.add(msg)  # no-op when already registered
-            if self.is_active(msg.parent):
-                return self._activate(msg.id)
-            self._dangling_by_parent.setdefault(msg.parent, []).append(msg.id)
+        self._held.add(mid)
+        self._digest ^= _id_bits(mid)
+        if not msg.is_block:
+            return []
+        self.index.add(msg)  # no-op when already registered
+        parent = msg.parent
+        if parent in self._active or self._on_base(parent):
+            if self._dangling_by_parent:
+                return self._activate(mid)
+            # nothing is parked, so nothing waits on this block
+            self._active.add(mid)
+            h = self.index._height[mid]
+            if h > self._tip_height or (h == self._tip_height and mid < self._tip):
+                self._tip, self._tip_height = mid, h
+            return [mid]
+        self._dangling_by_parent.setdefault(parent, []).append(mid)
         return []
 
     def _activate(self, block_id: str) -> list[str]:
         activated = []
         queue = [block_id]
-        height = self.index.height
+        height = self.index._height
         while queue:
             b = queue.pop()
             self._active.add(b)
             activated.append(b)
-            h = height(b)
-            if h > height(self._tip) or (
-                h == height(self._tip) and b < self._tip
-            ):
-                self._tip = b
+            h = height[b]
+            if h > self._tip_height or (h == self._tip_height and b < self._tip):
+                self._tip, self._tip_height = b, h
             queue.extend(self._dangling_by_parent.pop(b, ()))
         return activated
 

@@ -151,12 +151,6 @@ class Transcript:
 
     # -- queries ------------------------------------------------------------
 
-    def broadcast_slot(self, msg_id: str) -> int | None:
-        for slot, _sender, mid in self.broadcasts:
-            if mid == msg_id:
-                return slot
-        return None
-
     def confirmed_series(self, proc: str) -> list[tuple[str | None, int]]:
         """Per-slot (confirmed tip, confirmed length), slots 1..duration."""
         out: list[tuple[str | None, int]] = []
@@ -385,14 +379,20 @@ class _ProcessorRuntime:
         self.inbox: dict[int, list[str]] = {}  # due slot -> ids, in queueing order
         self.last_confirmed: tuple[str | None, int] | None = None
         self.draws: list | None = None  # standing: (request, draw) pairs
+        # made at the first step; later steps rewrite only its slot,
+        # responses and delivered messages
+        self.ctx: StepContext | None = None
 
     def hold(self, msg: Message, slot: int) -> None:
         """Take a delivered or self-broadcast message into the state."""
-        self.held[msg.id] = min(self.held.get(msg.id, slot), slot)
+        held, mid = self.held, msg.id
+        if held.get(mid, slot) >= slot:
+            held[mid] = slot
         self.pairs.add(msg.pair())
-        self.pairs.update(msg.embedded)
+        if msg.embedded:
+            self.pairs.update(msg.embedded)
         for activated in self.view.add(msg):
-            self.tracker.on_block(self.view.index.block(activated))
+            self.tracker.on_block(activated)
 
 
 def validate_broadcast(runtime: _ProcessorRuntime, msg: Message, slot: int) -> None:
@@ -442,9 +442,9 @@ class Execution:
         genesis = genesis_block(config.permitter.timed)
         self.index = BlockIndex(genesis)
         self.store: dict[str, Message] = {genesis.id: genesis}
-        self.roster = sorted(config.processors, key=lambda p: p.id)
-        self.runtimes: dict[str, _ProcessorRuntime] = {}
-        for spec in self.roster:
+        roster = sorted(config.processors, key=lambda p: p.id)
+        self.runtimes: dict[str, _ProcessorRuntime] = {}  # roster order
+        for spec in roster:
             view = BlockSetView.fresh(self.index, genesis)
             strategy = spec.strategy()
             if not isinstance(strategy, Strategy):
@@ -457,73 +457,75 @@ class Execution:
             label=config.label, seed=config.seed, header=header,
             genesis=genesis, index=self.index, store=self.store,
             duration=config.duration,
-            roster_ids=tuple(p.id for p in self.roster),
-            adversary_ids=tuple(p.id for p in self.roster if p.adversary),
+            roster_ids=tuple(p.id for p in roster),
+            adversary_ids=tuple(p.id for p in roster if p.adversary),
         )
 
     def step(self, slot: int) -> None:
         config, rule, store = self.config, self.rule, self.store
         duration, permitter = config.duration, config.permitter
-        roster, runtimes = self.roster, self.runtimes
+        runtimes = self.runtimes
         transcript = self.transcript
-        contexts: dict[str, StepContext] = {}
+        stepped: set[str] = set()
 
         # -- receive phase ------------------------------------------------
-        for spec in roster:
-            rt = runtimes[spec.id]
+        for pid, rt in runtimes.items():  # roster order
             if rt.draws is not None and not rt.pending and slot not in rt.inbox:
                 continue  # idle and standing: its requests are drawn again
             delivered: list[Message] = []
             for mid in rt.inbox.pop(slot, ()):
                 msg = store[mid]
-                transcript.deliveries.append((slot, spec.id, mid))
+                transcript.deliveries.append((slot, pid, mid))
                 delivered.append(msg)
                 rt.hold(msg, slot)
             responses = tuple(rt.pending)
             rt.pending = []
             for resp in responses:
-                rt.granted_ids.update(m.id for m in resp.granted)
+                if resp.granted:
+                    rt.granted_ids.update(m.id for m in resp.granted)
                 if resp.leader is not None:
                     lg = resp.leader
                     rt.leader_grants[(lg.key, lg.slot)] = lg
-            ctx = StepContext(
-                slot=slot, processor_id=spec.id, keys=spec.keys, view=rt.view,
-                responses=responses, delivered=tuple(delivered),
-                duration=duration, delta=config.delta,
-                epsilon=config.epsilon, timed=permitter.timed,
-                lookahead=permitter.lookahead,
-            )
-            contexts[spec.id] = ctx
+            ctx = rt.ctx
+            if ctx is None:
+                spec = rt.spec
+                ctx = rt.ctx = StepContext(
+                    slot=slot, processor_id=pid, keys=spec.keys, view=rt.view,
+                    responses=responses, delivered=tuple(delivered),
+                    duration=duration, delta=config.delta,
+                    epsilon=config.epsilon, timed=permitter.timed,
+                    lookahead=permitter.lookahead,
+                )
+            else:
+                ctx.slot, ctx.responses = slot, responses
+                ctx.delivered = tuple(delivered)
+            stepped.add(pid)
             rt.strategy.on_receive(ctx)
 
         # -- broadcast + request phase --------------------------------------
         pool, seed = config.pool, config.seed
-        for spec in roster:
-            rt = runtimes[spec.id]
-            ctx = contexts.get(spec.id)
-            if ctx is None:
+        for pid, rt in runtimes.items():
+            if pid not in stepped:
                 for req, draw in rt.draws:
                     if (resp := draw(slot)) is not None:
                         self._grant(slot, rt, req, resp)
                 continue
 
+            ctx, spec = rt.ctx, rt.spec
             for msg in rt.strategy.plan_broadcasts(ctx):
                 validate_broadcast(rt, msg, slot)
                 store.setdefault(msg.id, msg)
-                transcript.broadcasts.append((slot, spec.id, msg.id))
+                transcript.broadcasts.append((slot, pid, msg.id))
                 rt.hold(msg, slot)
-                for other in roster:
-                    if other.id == spec.id:
+                for oid, ort in runtimes.items():
+                    if oid == pid or msg.id in ort.held:
                         continue
-                    ort = runtimes[other.id]
-                    if msg.id in ort.held:
-                        continue
-                    due = rule.delivery_slot(spec.id, other.id, msg.id, slot)
+                    due = rule.delivery_slot(pid, oid, msg.id, slot)
                     if due is None or due > duration:
                         continue
                     if due <= slot:
                         raise ScheduleViolationError(
-                            f"rule delivers {msg.id[:12]} to {other.id!r} at "
+                            f"rule delivers {msg.id[:12]} to {oid!r} at "
                             f"slot {due}, not after its broadcast slot {slot}")
                     ort.inbox.setdefault(due, []).append(msg.id)
                     ort.held[msg.id] = due
@@ -531,11 +533,11 @@ class Execution:
             requests = rt.strategy.plan_requests(ctx)
             problems = enforce_request_budget(requests, permitter.timed)
             if problems:
-                raise ExecutionFault(spec.id, slot, problems[0])
+                raise ExecutionFault(pid, slot, problems[0])
             for req in requests:
                 if req.key.owner not in spec.groups:
                     raise ExecutionFault(
-                        spec.id, slot,
+                        pid, slot,
                         f"request under unowned key {req.key.label()}")
                 if (resp := permitter.respond(req, pool, slot, seed)) is not None:
                     self._grant(slot, rt, req, resp)
@@ -545,8 +547,9 @@ class Execution:
                         if rt.strategy.standing else None)
 
         # -- record confirmations (an idle processor's view is unchanged) ---
-        for pid in contexts:  # roster order
-            rt = runtimes[pid]
+        for pid, rt in runtimes.items():
+            if pid not in stepped:
+                continue
             current = rt.tracker.current()
             if current != rt.last_confirmed:
                 rt.last_confirmed = current
@@ -557,7 +560,7 @@ class Execution:
         rt.pending.append(resp)
         self.transcript.grants.append({
             "slot": slot, "proc": rt.spec.id, "key": req.key.to_json(),
-            "granted": sorted(m.id for m in resp.granted),
+            "granted": sorted([m.id for m in resp.granted]),
             "leader_slot": resp.leader.slot if resp.leader else None,
             "m_digest": req.m_digest,
             "candidate": req.candidate.id if req.candidate else None,

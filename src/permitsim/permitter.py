@@ -275,6 +275,7 @@ class StakePermitter(_Lottery):
         self.lookahead = int(lookahead)
         if self.lookahead < 1:  # slot t' is asked at t' - 1 or earlier
             raise ConfigError("lookahead must be at least one slot")
+        self._target = [None, b""]  # the last target drawn for, its encoding
 
     def check_pool(self, pool: ResourcePool) -> None:
         if pool.mode != SIZED:
@@ -294,8 +295,15 @@ class StakePermitter(_Lottery):
                 or target > slot + self.lookahead):
             return None
         cutoff = self._cutoff_for(pool, key, target, request.view)
+        if not cutoff:
+            return None
         prefix = self._prefixes.get((seed, key)) or self._new_prefix(seed, key)
-        if cutoff and prefix.u64_of(rng.encode(target)) < cutoff:
+        # every key asks for a target in the same slot, so they share its
+        # encoding
+        last = self._target
+        if target != last[0]:
+            last[0], last[1] = target, rng.encode(target)
+        if prefix.u64_of(last[1]) < cutoff:
             return PermitResponse(key=key, leader=LeaderGrant(key=key, slot=target))
         return None
 

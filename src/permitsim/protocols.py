@@ -48,7 +48,13 @@ from .resource_pool import as_fraction
 
 @dataclass
 class StepContext:
-    """Everything a protocol may lawfully see at one slot."""
+    """Everything a protocol may lawfully see at one slot.
+
+    The engine keeps one context per processor and rewrites its ``slot``,
+    ``responses`` and ``delivered`` at every step, so a context is valid
+    only for the hooks of its own slot: a strategy copies what it wants
+    to keep, never the context itself.
+    """
 
     slot: int
     processor_id: str
@@ -254,7 +260,7 @@ class _KDeepTracker:
         self._tip: str | None = None  # the tip the cached answer is for
         self._current: tuple[str | None, int] = (None, 0)
 
-    def on_block(self, block: Message) -> None:
+    def on_block(self, block_id: str) -> None:
         pass  # the view already tracks the longest active tip
 
     def current(self) -> tuple[str | None, int]:
@@ -341,12 +347,17 @@ class DensityCertificateRule(ConfirmationRule):
         the last index asked about, so a rule reused for another run holds
         that run's entries only.
         """
-        if self._memo_index is not index:
-            self._memo_index, self._memo = index, {}
-        memo = self._memo
+        memo = self._memo_of(index)
         if block_id not in memo:
             memo[block_id] = self._admit(block_id, index)
         return memo[block_id]
+
+    def _memo_of(self, index: BlockIndex) -> dict:
+        """``admit``'s per-id answers over ``index``; the memo of another
+        index is dropped."""
+        if self._memo_index is not index:
+            self._memo_index, self._memo = index, {}
+        return self._memo
 
     def _admit(self, block_id: str, index: BlockIndex) -> tuple[int, str] | None:
         i = self.window_of_timestamp(index.timestamp(block_id))
@@ -414,23 +425,34 @@ class _DensityTracker:
     def __init__(self, rule: DensityCertificateRule, view: BlockSetView):
         self.rule = rule
         self.view = view
+        # admit's answers over the view's index, filled by the first holder
+        # of each block to ask
+        self._memo = rule._memo_of(view.index)
         self.counts: dict[tuple[int, str], int] = {}
         self.best: tuple[int, str] | None = None
 
-    def on_block(self, block: Message) -> None:
-        key = self.rule.admit(block.id, self.view.index)
+    def on_block(self, block_id: str) -> None:
+        memo = self._memo
+        key = memo.get(block_id, _UNSEEN)
+        if key is _UNSEEN:
+            key = self.rule.admit(block_id, self.view.index)
         if key is None:
             return
-        self.counts[key] = self.counts.get(key, 0) + 1
-        if self.counts[key] >= self.rule.threshold:
-            if self.best is None or _witness_rank(*key) < _witness_rank(*self.best):
-                self.best = key
+        counts = self.counts
+        counts[key] = count = counts.get(key, 0) + 1
+        if count >= self.rule.threshold and (
+                self.best is None
+                or _witness_rank(*key) < _witness_rank(*self.best)):
+            self.best = key
 
     def current(self) -> tuple[str | None, int]:
         if self.best is None:
             return (None, 0)
         i, leaf = self.best
         return (leaf, i)
+
+
+_UNSEEN = object()  # a block the memo has no answer for yet
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,31 @@ def brute_minimal_ell(min_len, prefix_max):
     return duration
 
 
+def per_slot_liveness(transcript, processors):
+    """The liveness series and ell from their per-slot definitions: each
+    processor's length at a slot is its last change point up to it."""
+    duration = transcript.duration
+    min_len, prefix_max, running = [], [], 0
+    for t in range(1, duration + 1):
+        lens = []
+        for proc in processors:
+            ln = 0
+            for slot, p, _tip, length in transcript.confirmations:
+                if p == proc and slot <= t:
+                    ln = length
+            lens.append(ln)
+        min_len.append(min(lens))
+        running = max(running, *lens)
+        prefix_max.append(running)
+    ell = 0
+    for t2 in range(1, duration + 1):
+        # t0: the rightmost t in [1, t2] with prefix_max[t] < min[t2], or 0
+        t0 = max((t for t in range(1, t2 + 1)
+                  if prefix_max[t - 1] < min_len[t2 - 1]), default=0)
+        ell = max(ell, t2 - t0)
+    return min_len, prefix_max, ell
+
+
 class TestLiveness:
     def test_lockstep_growth_has_ell_one(self):
         pts = []
@@ -101,6 +126,24 @@ class TestLiveness:
             synthetic_transcript(pts, len(growth), ("p", "q")))
         expect = brute_minimal_ell(report.min_len, report.prefix_max_len)
         assert report.minimal_uniform_ell == expect
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_slot_definition(self, data):
+        """Change points in slot order, several per slot, lengths that
+        shrink, and watched ids that repeat or never confirm."""
+        duration = data.draw(st.integers(0, 24))
+        roster = ("p", "q", "r")
+        slots = sorted(data.draw(st.lists(st.integers(1, max(duration, 1)),
+                                          max_size=30))) if duration else []
+        pts = [(slot, data.draw(st.sampled_from(roster)), None,
+                data.draw(st.integers(0, 9))) for slot in slots]
+        watched = data.draw(st.lists(st.sampled_from(roster + ("ghost",)),
+                                     min_size=1, max_size=6))
+        t = synthetic_transcript(pts, duration, roster)
+        report = measure_liveness(t, watched)
+        assert (report.min_len, report.prefix_max_len,
+                report.minimal_uniform_ell) == per_slot_liveness(t, watched)
 
     def test_real_run_is_live(self):
         report = measure_liveness(run_execution(work_config(duration=300)))
@@ -256,7 +299,8 @@ class TestInvariants:
     def test_delivery_before_broadcast_is_caught(self):
         t = self.fresh()
         slot, receiver, mid = t.deliveries[0]
-        t.deliveries[0] = (t.broadcast_slot(mid), receiver, mid)
+        sent = next(s for s, _sender, m in t.broadcasts if m == mid)
+        t.deliveries[0] = (sent, receiver, mid)
         assert any("not after broadcast" in p
                    for p in verify_transcript_invariants(t))
 

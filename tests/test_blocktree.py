@@ -11,7 +11,8 @@ from permitsim.blocktree import (BlockIndex, BlockSetView, compatible,
                                  complete_in, leaves,
                                  longest_chain_tip)
 from permitsim.errors import DanglingBlockError
-from permitsim.messages import PublicKey, genesis_block, make_block
+from permitsim.messages import (PAYLOAD, Message, PublicKey, genesis_block,
+                                make_block)
 
 from conftest import build_chain
 
@@ -181,6 +182,64 @@ def test_view_active_set_ignores_arrival_order(case):
     assert active_set(shuffled) == active_set(in_order)
     assert shuffled.longest_tip == in_order.longest_tip
     assert shuffled.digest == in_order.digest
+
+
+@st.composite
+def deliveries(draw):
+    """A random tree and a delivery sequence over it: any order, so
+    children may come before their parents, with repeats and payloads.
+    ``fork`` is how many blocks a public view takes, in tree order, before
+    a chain view of it receives the sequence (``None``: a fresh view)."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    parents = [draw(st.integers(min_value=0, max_value=i)) for i in range(n)]
+    payloads = draw(st.integers(min_value=0, max_value=3))
+    sequence = draw(st.lists(st.integers(min_value=0, max_value=n + payloads - 1),
+                             max_size=2 * (n + payloads)))
+    fork = draw(st.none() | st.integers(min_value=0, max_value=n))
+    return parents, payloads, sequence, fork
+
+
+@given(deliveries())
+@settings(max_examples=300, deadline=None)
+def test_view_add_matches_a_recomputation(case):
+    """After every add, the activations it returned, the active set, the
+    longest tip and the digest equal those recomputed from the messages
+    the view holds."""
+    parents, payloads, sequence, fork = case
+    genesis = genesis_block(timed=False)
+    index = BlockIndex(genesis)
+    blocks = []
+    for i, parent_pos in enumerate(parents):
+        parent = genesis.id if parent_pos == 0 else blocks[parent_pos - 1].id
+        blocks.append(make_block(P if i % 2 else Q, parent, payload=f"n{i}"))
+        index.add(blocks[-1])
+    messages = blocks + [Message(P, kind=PAYLOAD, payload=f"x{i}")
+                         for i in range(payloads)]
+
+    view = BlockSetView.fresh(index, genesis)
+    held = {genesis.id}
+    if fork is not None:
+        public = BlockSetView.fresh(index, genesis)
+        for blk in blocks[:fork]:
+            public.add(blk)
+        view = public.chain_view()
+        held = set(index.ancestry(public.longest_tip))
+    active = {b for b in held if complete_in(b, held, index)}
+    for pos in sequence:
+        msg = messages[pos]
+        activated = view.add(msg)
+        held.add(msg.id)
+        now_active = {b for b in held if b in index and complete_in(b, held, index)}
+        assert len(activated) == len(set(activated))
+        assert set(activated) == now_active - active
+        active = now_active
+        assert active_set(view) == active
+        assert view.longest_tip == longest_chain_tip(held, index)
+        assert view.longest_length == index.height(view.longest_tip) + 1
+        digest = 0
+        for mid in held:
+            digest ^= int(mid[:16], 16)
+        assert view.digest == digest
 
 
 # -- the index against a naive parent walk -----------------------------------

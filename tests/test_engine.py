@@ -97,9 +97,6 @@ class TestTranscriptQueries:
             lengths = [n for _, n in series]
             assert lengths == sorted(lengths)  # honest run never rolls back
 
-    def test_genesis_has_no_broadcast_slot(self, transcript):
-        assert transcript.broadcast_slot(transcript.genesis.id) is None
-
     def test_grants_carry_the_request_shape(self, transcript):
         assert transcript.grants, "a 200-slot run at rate 1/10 grants blocks"
         for g in transcript.grants:
@@ -400,3 +397,73 @@ class TestObservers:
             if receiver == "relay" and mid in relayed:
                 assert dm[("relay", mid)] == slot == relayed[mid] - 2
         assert verify_transcript_invariants(t) == []
+
+
+# ---------------------------------------------------------------------------
+# the step context
+# ---------------------------------------------------------------------------
+
+
+def _recording(base):
+    """``base`` with hooks that record what each one's context shows: the
+    slot, the responses as (key, leader slot, granted ids) and the ids
+    delivered.  A strategy keeps copies, never the context."""
+
+    class Recording(base):
+        standing = base.standing
+
+        def __init__(self):
+            super().__init__()
+            self.seen = []
+
+        def _note(self, hook, ctx):
+            self.seen.append((hook, ctx.slot, [
+                (r.key, r.leader and r.leader.slot,
+                 sorted(m.id for m in r.granted)) for r in ctx.responses],
+                [m.id for m in ctx.delivered]))
+
+        def on_receive(self, ctx):
+            self._note("on_receive", ctx)
+            super().on_receive(ctx)
+
+        def plan_broadcasts(self, ctx):
+            self._note("plan_broadcasts", ctx)
+            return super().plan_broadcasts(ctx)
+
+        def plan_requests(self, ctx):
+            self._note("plan_requests", ctx)
+            return super().plan_requests(ctx)
+
+    return Recording
+
+
+@pytest.mark.parametrize("build, base", [
+    (lambda: stake_config(duration=80), HonestStakeStrategy),
+    (lambda: work_config(duration=150, rate=Fraction(1, 3)), HonestWorkStrategy),
+], ids=["stake", "standing-work"])
+def test_each_step_sees_its_own_slot(build, base):
+    """The engine rewrites one context per processor; each hook of a step
+    still sees that slot's responses (last slot's grants) and deliveries,
+    a standing miner included after slots it was not stepped."""
+    cfg = build()
+    made = {}
+    cls = _recording(base)
+    for spec in cfg.processors:
+        spec.strategy = lambda pid=spec.id: made.setdefault(pid, cls())
+    t = run_execution(cfg)
+    seen = [entry for strategy in made.values() for entry in strategy.seen]
+    assert any(r for *_, r, _d in seen) and any(d for *_, d in seen)
+    for pid, strategy in made.items():
+        slots = sorted({slot for _hook, slot, _r, _d in strategy.seen})
+        if base.standing:
+            assert len(slots) < cfg.duration  # some slots were not stepped
+        for slot in slots:
+            grants = [(tuple(g["key"]), g["leader_slot"], sorted(g["granted"]))
+                      for g in t.grants if g["slot"] == slot - 1
+                      and g["proc"] == pid]
+            delivered = [mid for s, proc, mid in t.deliveries
+                         if s == slot and proc == pid]
+            seen = [(hook, r, d) for hook, s, r, d in strategy.seen
+                    if s == slot]
+            assert seen == [(hook, grants, delivered) for hook in (
+                "on_receive", "plan_broadcasts", "plan_requests")]

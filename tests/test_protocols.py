@@ -193,7 +193,7 @@ class TestDensityRule:
             tracker = rule.make_tracker(view)
             for blk in held:
                 for bid in view.add(blk):
-                    tracker.on_block(index.block(bid))
+                    tracker.on_block(bid)
             tip, length = tracker.current()
             expected = () if tip is None else index.ancestry(tip)
             assert len(expected) == length

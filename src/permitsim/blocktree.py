@@ -277,7 +277,8 @@ class BlockSetView:
         self._digest ^= _id_bits(mid)
         if not msg.is_block:
             return []
-        self.index.add(msg)  # no-op when already registered
+        if mid not in self.index._parent:  # registered by its first holder
+            self.index.add(msg)
         parent = msg.parent
         if parent in self._active or self._on_base(parent):
             if self._dangling_by_parent:

@@ -16,18 +16,21 @@ Broadcast messages reach the sender's own state immediately; every other
 processor receives them at the slot the timing rule picks, each message
 at most once per receiver.  A delivery due after the last slot is dropped
 here, the one place the horizon cuts the network.  The genesis block is
-in every state from the start.  After each slot the configured
-confirmation rule is evaluated on every processor's state and
-change-points are recorded.
+in every state from the start.  After a slot in which a processor's
+view moved (activated a block its tracker counts), the confirmation
+rule's answer is read and change-points are recorded.
 
 The engine alone records what each processor holds (message ids, with the
-slot they are held from, and the (signer, body digest) pairs they carry)
-and keeps one inbox of queued deliveries per processor.  The view a
-strategy reads mirrors the held messages; writing into it grants nothing.
+slot they are held from) and keeps one inbox of queued deliveries per
+processor.  A message's (signer, body digest) pairs, its own and those it
+embeds, are registered once, at its first broadcast; holding it receives
+them.  The view a strategy reads mirrors the held messages; writing into
+it grants nothing.
 
 ``Execution`` holds one run's state and ``Execution.step`` runs one slot,
 in which a processor with a ``standing`` strategy and no delivery or
-response due is not stepped: its last requests are drawn again;
+response due is not stepped: its last requests are drawn again.  A
+strategy that overrides no hook, as the observer, stands.
 ``run_execution`` validates a config and steps it through every slot.  A
 strategy that simulates a private world steps an ``Execution`` of its own,
 so that world runs under the same rules.
@@ -362,7 +365,7 @@ class _ProcessorRuntime:
     """Engine-side mutable state for one processor."""
 
     def __init__(self, spec: ProcessorSpec, view: BlockSetView, strategy: Strategy,
-                 tracker, genesis: Message):
+                 tracker, genesis: Message, carriers: dict):
         self.spec = spec
         self.view = view
         self.strategy = strategy
@@ -374,10 +377,10 @@ class _ProcessorRuntime:
         self.leader_grants: dict[tuple, LeaderGrant] = {}
         # msg id -> slot held from: own broadcast, queued delivery's due slot
         self.held: dict[str, int] = {genesis.id: 0}
-        # (signer, body digest) of every held message and every pair it embeds
-        self.pairs: set[tuple[PublicKey, str]] = set()
+        self.carriers = carriers  # the execution's pair -> carrying ids
         self.inbox: dict[int, list[str]] = {}  # due slot -> ids, in queueing order
         self.last_confirmed: tuple[str | None, int] | None = None
+        self.moved = True  # the tracker's answer may have changed
         self.draws: list | None = None  # standing: (request, draw) pairs
         # made at the first step; later steps rewrite only its slot,
         # responses and delivered messages
@@ -388,11 +391,14 @@ class _ProcessorRuntime:
         held, mid = self.held, msg.id
         if held.get(mid, slot) >= slot:
             held[mid] = slot
-        self.pairs.add(msg.pair())
-        if msg.embedded:
-            self.pairs.update(msg.embedded)
-        for activated in self.view.add(msg):
-            self.tracker.on_block(activated)
+        for block_id in self.view.add(msg):
+            if self.tracker.on_block(block_id):
+                self.moved = True
+
+    def carries(self, pair: tuple, slot: int) -> bool:
+        """True when a message held by ``slot`` carries the pair."""
+        return any(self.held.get(mid, slot + 1) <= slot
+                   for mid in self.carriers.get(pair, ()))
 
 
 def validate_broadcast(runtime: _ProcessorRuntime, msg: Message, slot: int) -> None:
@@ -400,15 +406,13 @@ def validate_broadcast(runtime: _ProcessorRuntime, msg: Message, slot: int) -> N
     pid = runtime.spec.id
     if msg.signer is None:
         raise ExecutionFault(pid, slot, "broadcast message lacks a signer")
-    own = msg.signer.owner in runtime.spec.groups
-    if not own and msg.pair() not in runtime.pairs:
+    groups = runtime.spec.groups
+    if msg.signer.owner not in groups and not runtime.carries(msg.pair(), slot):
         raise ExecutionFault(
             pid, slot, f"message signed by unowned key {msg.signer.label()} "
             f"was never received")
     for key, digest in msg.embedded:
-        if key.owner in runtime.spec.groups:
-            continue
-        if (key, digest) not in runtime.pairs:
+        if key.owner not in groups and not runtime.carries((key, digest), slot):
             raise ExecutionFault(
                 pid, slot, f"embedded pair under {key.label()} was never "
                 f"signed or received")
@@ -442,6 +446,8 @@ class Execution:
         genesis = genesis_block(config.permitter.timed)
         self.index = BlockIndex(genesis)
         self.store: dict[str, Message] = {genesis.id: genesis}
+        # (signer, body digest) -> ids of the messages carrying it
+        self.carriers: dict[tuple, list[str]] = {}
         roster = sorted(config.processors, key=lambda p: p.id)
         self.runtimes: dict[str, _ProcessorRuntime] = {}  # roster order
         for spec in roster:
@@ -451,8 +457,8 @@ class Execution:
                 raise ConfigError(f"strategy factory for {spec.id!r} returned "
                                   f"{type(strategy).__name__}")
             tracker = config.confirmation.make_tracker(view)
-            self.runtimes[spec.id] = _ProcessorRuntime(spec, view, strategy,
-                                                       tracker, genesis)
+            self.runtimes[spec.id] = _ProcessorRuntime(
+                spec, view, strategy, tracker, genesis, self.carriers)
         self.transcript = Transcript(
             label=config.label, seed=config.seed, header=header,
             genesis=genesis, index=self.index, store=self.store,
@@ -466,7 +472,6 @@ class Execution:
         duration, permitter = config.duration, config.permitter
         runtimes = self.runtimes
         transcript = self.transcript
-        stepped: set[str] = set()
 
         # -- receive phase ------------------------------------------------
         for pid, rt in runtimes.items():  # roster order
@@ -499,22 +504,26 @@ class Execution:
             else:
                 ctx.slot, ctx.responses = slot, responses
                 ctx.delivered = tuple(delivered)
-            stepped.add(pid)
+            rt.draws = None  # stepped: drawn anew after its requests
             rt.strategy.on_receive(ctx)
 
         # -- broadcast + request phase --------------------------------------
-        pool, seed = config.pool, config.seed
+        pool, seed, carriers = config.pool, config.seed, self.carriers
+        respond, timed, grant = permitter.respond, permitter.timed, self._grant
         for pid, rt in runtimes.items():
-            if pid not in stepped:
+            if rt.draws is not None:  # not stepped
                 for req, draw in rt.draws:
                     if (resp := draw(slot)) is not None:
-                        self._grant(slot, rt, req, resp)
+                        grant(slot, rt, req, resp)
                 continue
 
-            ctx, spec = rt.ctx, rt.spec
+            ctx, groups = rt.ctx, rt.spec.groups
             for msg in rt.strategy.plan_broadcasts(ctx):
                 validate_broadcast(rt, msg, slot)
-                store.setdefault(msg.id, msg)
+                if msg.id not in store:
+                    store[msg.id] = msg
+                    for pair in (msg.pair(), *msg.embedded):
+                        carriers.setdefault(pair, []).append(msg.id)
                 transcript.broadcasts.append((slot, pid, msg.id))
                 rt.hold(msg, slot)
                 for oid, ort in runtimes.items():
@@ -531,25 +540,26 @@ class Execution:
                     ort.held[msg.id] = due
 
             requests = rt.strategy.plan_requests(ctx)
-            problems = enforce_request_budget(requests, permitter.timed)
+            problems = enforce_request_budget(requests, timed)
             if problems:
                 raise ExecutionFault(pid, slot, problems[0])
             for req in requests:
-                if req.key.owner not in spec.groups:
+                if req.key.owner not in groups:
                     raise ExecutionFault(
                         pid, slot,
                         f"request under unowned key {req.key.label()}")
-                if (resp := permitter.respond(req, pool, slot, seed)) is not None:
-                    self._grant(slot, rt, req, resp)
+                if (resp := respond(req, pool, slot, seed)) is not None:
+                    grant(slot, rt, req, resp)
             # a request no slot grants is dropped
             rt.draws = ([(req, draw) for req in requests
                          if (draw := permitter.draw(req, pool, seed))]
                         if rt.strategy.standing else None)
 
-        # -- record confirmations (an idle processor's view is unchanged) ---
+        # -- record confirmations (only an activation changes one) ---------
         for pid, rt in runtimes.items():
-            if pid not in stepped:
+            if not rt.moved:
                 continue
+            rt.moved = False
             current = rt.tracker.current()
             if current != rt.last_confirmed:
                 rt.last_confirmed = current

@@ -53,7 +53,7 @@ and 83.2%.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import rng
@@ -63,24 +63,21 @@ from .messages import Message, PublicKey
 from .resource_pool import SIZED, ResourcePool, as_fraction
 
 
-@dataclass
 class PermitRequest:
     """One request: the key, the message set M it presents, and extras.
 
     ``view`` realizes M (a subset of the requester's state plus its
     not-yet-broadcast grants); ``m_digest`` is its order-independent
-    digest, recorded in transcripts.  ``candidate`` is the candidate
-    block A (untimed only); ``target_slot`` is t' (timed only).
+    digest at construction, recorded in transcripts.  ``candidate`` is the
+    candidate block A (untimed only); ``target_slot`` is t' (timed only).
     """
 
-    key: PublicKey
-    view: BlockSetView
-    candidate: Message | None = None
-    target_slot: int | None = None
-    m_digest: int = field(init=False, default=0)
+    __slots__ = ("key", "view", "candidate", "target_slot", "m_digest")
 
-    def __post_init__(self):
-        self.m_digest = self.view.digest
+    def __init__(self, key: PublicKey, view: BlockSetView,
+                 candidate: Message | None = None, target_slot: int | None = None):
+        self.key, self.view, self.m_digest = key, view, view.digest
+        self.candidate, self.target_slot = candidate, target_slot
 
 
 @dataclass(frozen=True)
@@ -276,6 +273,8 @@ class StakePermitter(_Lottery):
         if self.lookahead < 1:  # slot t' is asked at t' - 1 or earlier
             raise ConfigError("lookahead must be at least one slot")
         self._target = [None, b""]  # the last target drawn for, its encoding
+        # (pool, seed, key) -> (cutoff, prefix), for constant pools
+        self._entries: dict[tuple, tuple[int, rng.Prefix]] = {}
 
     def check_pool(self, pool: ResourcePool) -> None:
         if pool.mode != SIZED:
@@ -288,16 +287,21 @@ class StakePermitter(_Lottery):
 
     def respond(self, request: PermitRequest, pool: ResourcePool, slot: int,
                 seed: int) -> PermitResponse | None:
-        key = request.key
         target = request.target_slot
         if (request.candidate is not None  # timed requests carry no candidate
                 or target is None or target < 1
                 or target > slot + self.lookahead):
             return None
-        cutoff = self._cutoff_for(pool, key, target, request.view)
+        key = request.key
+        entry = self._entries.get((pool, seed, key))
+        if entry is None:
+            entry = (self._cutoff_for(pool, key, target, request.view),
+                     self._prefixes.get((seed, key)) or self._new_prefix(seed, key))
+            if pool.is_constant:
+                self._entries[pool, seed, key] = entry
+        cutoff, prefix = entry
         if not cutoff:
             return None
-        prefix = self._prefixes.get((seed, key)) or self._new_prefix(seed, key)
         # every key asks for a target in the same slot, so they share its
         # encoding
         last = self._target

@@ -72,11 +72,11 @@ class StepContext:
 class Strategy:
     """Base protocol: receive, broadcast, request — in that order.  On a
     slot with no delivery or response, a ``standing`` one (read after each
-    slot it is stepped) changes nothing and asks what it asked last; a
-    subclass overriding a hook restates it."""
+    slot it is stepped) changes nothing and asks what it asked last.  The
+    base stands; a subclass overriding a hook restates it."""
 
     name = "abstract"
-    standing = False
+    standing = True
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -136,8 +136,12 @@ class LeaderSlots:
 
     def requests(self, ctx: StepContext, view: BlockSetView) -> list[PermitRequest]:
         """The targets not asked yet, for every key, presenting ``view``."""
-        first = max(self._asked, ctx.slot) + 1
-        last = min(ctx.slot + ctx.lookahead, ctx.duration)
+        slot, last = ctx.slot, ctx.slot + ctx.lookahead
+        if self._asked == last - 1 and slot < last <= ctx.duration:
+            self._asked = last  # the usual step: the window moved by one
+            return [PermitRequest(key, view, target_slot=last) for key in ctx.keys]
+        first = max(self._asked, slot) + 1
+        last = min(last, ctx.duration)
         if last < first:
             return []
         self._asked = last
@@ -221,7 +225,8 @@ class ConfirmationRule:
         raise NotImplementedError
 
     def make_tracker(self, view: BlockSetView):
-        """Incremental per-view tracker used by the engine each slot."""
+        """Incremental per-view tracker; its ``on_block`` gets each block
+        the view activates and is true when ``current()`` may change."""
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -260,8 +265,8 @@ class _KDeepTracker:
         self._tip: str | None = None  # the tip the cached answer is for
         self._current: tuple[str | None, int] = (None, 0)
 
-    def on_block(self, block_id: str) -> None:
-        pass  # the view already tracks the longest active tip
+    def on_block(self, block_id: str) -> bool:
+        return True  # the view's longest tip, which it tracks, may move
 
     def current(self) -> tuple[str | None, int]:
         tip = self.view.longest_tip
@@ -431,19 +436,22 @@ class _DensityTracker:
         self.counts: dict[tuple[int, str], int] = {}
         self.best: tuple[int, str] | None = None
 
-    def on_block(self, block_id: str) -> None:
+    def on_block(self, block_id: str) -> bool:
+        """Count an activated block; true when it is a new best witness."""
         memo = self._memo
         key = memo.get(block_id, _UNSEEN)
         if key is _UNSEEN:
             key = self.rule.admit(block_id, self.view.index)
         if key is None:
-            return
+            return False
         counts = self.counts
         counts[key] = count = counts.get(key, 0) + 1
         if count >= self.rule.threshold and (
                 self.best is None
                 or _witness_rank(*key) < _witness_rank(*self.best)):
             self.best = key
+            return True
+        return False
 
     def current(self) -> tuple[str | None, int]:
         if self.best is None:

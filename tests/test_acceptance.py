@@ -45,7 +45,7 @@ from permitsim.analysis import (EllTable, certifiable_blocks, check_security,
 from permitsim.blocktree import BlockIndex, leaves
 from permitsim.engine import ExecutionConfig, ProcessorSpec, run_execution
 from permitsim.experiment import (ExperimentSpec, canonical_report_bytes,
-                                  run_experiment)
+                                  run_experiment, run_trials)
 from permitsim.messages import PublicKey, genesis_block, make_block
 from permitsim.network import (PARTIALLY_SYNCHRONOUS, SynchronySchedule,
                                UniformDelayRule)
@@ -320,7 +320,7 @@ class TestObserverImplication:
     def test_every_attacked_trial_convinces_the_observers(self):
         scenario = SCENARIOS["isolated_observers"]
         params = scenario.resolve_params({})
-        results = [scenario.run_trial(params, seed) for seed in range(40)]
+        results = run_trials(scenario, params, range(40))
         attacked = [r for r in results if r["attacked"]]
         assert len(attacked) >= 10   # enough successful base attacks
         for r in attacked:
@@ -376,7 +376,7 @@ class TestDensityBudgetUnderAttack:
     def test_withholding_staker_stays_inside_the_budget(self):
         scenario = SCENARIOS["stake_density_certificates"]
         params = scenario.resolve_params({})
-        results = [scenario.run_trial(params, seed) for seed in range(200)]
+        results = run_trials(scenario, params, range(200))
         violation_rate = sum(not r["secure"] for r in results) / len(results)
         live_rate = sum(bool(r["live_within_ell_prime"])
                         for r in results) / len(results)
@@ -462,8 +462,8 @@ class TestDoubleSpendMonotonicity:
         for duration in (500, 1000, 2000, 4000):
             params = scenario.resolve_params(
                 {"duration": duration, "q": "1/4", "confirm_k": 3})
-            hits = sum(scenario.run_trial(params, seed)["violation"]
-                       for seed in range(trials))
+            hits = sum(row["violation"]
+                       for row in run_trials(scenario, params, range(trials)))
             points.append((duration, hits / trials,
                            *wilson_interval(hits, trials)))
         for (d1, r1, _lo1, hi1), (d2, r2, lo2, _hi2) in zip(points,

@@ -5,15 +5,18 @@ from fractions import Fraction
 import pytest
 
 from permitsim.analysis import verify_transcript_invariants
-from permitsim.engine import (ExecutionConfig, ProcessorSpec, Transcript,
-                              run_execution)
+from permitsim.blocktree import BlockIndex
+from permitsim.engine import (Execution, ExecutionConfig, ProcessorSpec,
+                              Transcript, run_execution)
 from permitsim.errors import (ConfigError, ExecutionFault,
                              TranscriptFormatError)
 from permitsim.messages import PAYLOAD, Message, PublicKey, make_block
 from permitsim.permitter import PermitRequest, StakePermitter, WorkPermitter
 from permitsim.protocols import (HonestStakeStrategy, HonestWorkStrategy,
-                                 KDeepRule, ObserverStrategy, Strategy)
+                                 KDeepRule, ObserverStrategy, Strategy,
+                                 _DensityTracker, _KDeepTracker)
 from permitsim.resource_pool import SIZED, ConstantBalancePool, ScriptedPool
+from permitsim.scenarios import SCENARIOS
 
 from conftest import stake_config, work_config
 
@@ -217,6 +220,43 @@ class _EmbedReceivedStrategy(HonestWorkStrategy):
                 for key in ctx.keys]
 
 
+def _relay_config(strategy_cls):
+    """p1 alone holds balance and wins every request: its first block
+    extends genesis, is broadcast at slot 2 and is due at p0, a processor
+    of no balance, at slot 4."""
+    p0 = ProcessorSpec(id="p0", keys=(PublicKey("p0", 0),),
+                       strategy=strategy_cls)
+    return work_config(duration=10, rate=1, delay=2,
+                       balances={PublicKey("p1", 0): 1}, extra_specs=(p0,))
+
+
+class _EarlyRelayStrategy(Strategy):
+    """Rebuilds p1's first block by its content and rebroadcasts it at
+    ``relay_at``."""
+
+    config = staticmethod(_relay_config)
+    relay_at = 3  # one slot before the block is due here
+
+    def plan_broadcasts(self, ctx):
+        if ctx.slot != self.relay_at:
+            return []
+        return [make_block(PublicKey("p1", 0), ctx.view.index.genesis_id)]
+
+
+class _DueRelayStrategy(_EarlyRelayStrategy):
+    relay_at = 4
+
+
+class _EarlyEmbedStrategy(_EarlyRelayStrategy):
+    """Vouches in a block of its own for p1's first block before that
+    block is due here."""
+
+    def plan_broadcasts(self, ctx):
+        return [make_block(ctx.keys[0], ctx.view.longest_tip, payload="x",
+                           embedded=(relayed.pair(),))
+                for relayed in super().plan_broadcasts(ctx)]
+
+
 class _ViewWriteStrategy(Strategy):
     """Writes a block of its own making into its view, then broadcasts it
     as if it held it."""
@@ -311,12 +351,27 @@ class TestFaults:
          "signed by unowned key p1/0 was never received"),
         (_EmbedUnreceivedStrategy,
          "embedded pair under p1/0 was never signed or received"),
+        # the only carrier is queued for this processor, not yet due
+        (_EarlyRelayStrategy,
+         "signed by unowned key p1/0 was never received"),
+        (_EarlyEmbedStrategy,
+         "embedded pair under p1/0 was never signed or received"),
     ])
     def test_a_foreign_pair_must_have_been_received(self, strategy_cls,
                                                     problem):
+        build = getattr(strategy_cls, "config", _single_swap_config)
         with pytest.raises(ExecutionFault, match=problem) as exc:
-            run_execution(_single_swap_config(strategy_cls))
+            run_execution(build(strategy_cls))
         assert exc.value.slot == 3
+
+    def test_relaying_from_the_due_slot_on_is_accepted(self):
+        t = run_execution(_relay_config(_DueRelayStrategy))
+        (relayed,) = [(slot, mid) for slot, proc, mid in t.broadcasts
+                      if proc == "p0"]
+        first = next(mid for _, proc, mid in t.broadcasts if proc == "p1")
+        assert relayed == (4, first)
+        assert ("p0", first) in t.delivery_map()
+        assert verify_transcript_invariants(t) == []
 
     def test_embedding_a_received_pair_is_accepted(self):
         cfg = work_config(duration=60)
@@ -397,6 +452,74 @@ class TestObservers:
             if receiver == "relay" and mid in relayed:
                 assert dm[("relay", mid)] == slot == relayed[mid] - 2
         assert verify_transcript_invariants(t) == []
+
+
+def _density_config(seed):
+    """The density-certificate scenario's run at its defaults: an honest
+    and a withholding staker and an observer."""
+    scenario = SCENARIOS["stake_density_certificates"]
+    params = scenario.resolve_params({})
+    return scenario._config(params, seed, scenario.plan(params))
+
+
+class TestPerMessageCosts:
+    def test_a_message_is_digested_and_indexed_once(self, monkeypatch):
+        """Once per broadcast message, not once per processor holding it."""
+        digested, indexed = [], []
+        body_digest, index_add = Message.body_digest, BlockIndex.add
+
+        def counted_digest(msg):
+            digested.append(msg.id)
+            return body_digest(msg)
+
+        def counted_add(index, block):
+            indexed.append(block.id)
+            return index_add(index, block)
+
+        monkeypatch.setattr(Message, "body_digest", counted_digest)
+        monkeypatch.setattr(BlockIndex, "add", counted_add)
+        t = run_execution(stake_config())
+        broadcast = [mid for _, _, mid in t.broadcasts]
+        assert len(set(broadcast)) == len(broadcast) > 20
+        assert len(t.deliveries) >= len(broadcast)  # every other holder
+        assert sorted(digested) == sorted(indexed) == sorted(broadcast)
+
+    @pytest.mark.parametrize("build", [
+        stake_config,
+        lambda: _density_config(seed=1),
+    ], ids=["k_deep", "density"])
+    def test_confirmations_are_read_where_a_view_activated_a_block(
+            self, monkeypatch, build):
+        """A tracker's answer changes only when its view activates a block,
+        so ``current()`` is read at slot 1 and then only at slots where
+        the processor's view activated one."""
+        at = [0]
+        activated, read = set(), []
+        step = Execution.step
+
+        def stepping(run, slot):
+            at[0] = slot
+            step(run, slot)
+
+        monkeypatch.setattr(Execution, "step", stepping)
+        for cls in (_KDeepTracker, _DensityTracker):
+            def on_block(tracker, block_id, original=cls.on_block):
+                activated.add((id(tracker), at[0]))
+                return original(tracker, block_id)
+
+            def current(tracker, original=cls.current):
+                read.append((id(tracker), at[0]))
+                return original(tracker)
+
+            monkeypatch.setattr(cls, "on_block", on_block)
+            monkeypatch.setattr(cls, "current", current)
+        cfg = build()
+        t = run_execution(cfg)
+        first = {(tracker, 1) for tracker, slot in read if slot == 1}
+        assert len(first) == len(cfg.processors)
+        assert set(read) - first <= activated
+        assert len(read) == len(set(read)) < len(cfg.processors) * cfg.duration
+        assert len(t.confirmations) <= len(read)
 
 
 # ---------------------------------------------------------------------------

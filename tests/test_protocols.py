@@ -370,12 +370,15 @@ def attacker_step(view, slot, responses=()):
 
 class TestStanding:
     def test_only_the_honest_miner_stands(self, view):
-        """The honest miner always stands and the simulation attacker only
-        while nothing is due in its private world: no delivery queued, no
-        response pending, and a release that waits on no slot."""
-        assert HonestWorkStrategy.standing
-        for cls in (Strategy, ObserverStrategy, HonestStakeStrategy,
-                    PrivateForkStrategy, StakeWithholdStrategy):
+        """Of the strategies that act, the honest miner always stands and
+        the simulation attacker only while nothing is due in its private
+        world: no delivery queued, no response pending, and a release that
+        waits on no slot.  A strategy that overrides no hook, the base and
+        the observer, does nothing, so it stands too."""
+        for cls in (Strategy, ObserverStrategy, HonestWorkStrategy):
+            assert cls.standing, cls.__name__
+        for cls in (HonestStakeStrategy, PrivateForkStrategy,
+                    StakeWithholdStrategy):
             assert not cls.standing, cls.__name__
         inner = [ProcessorSpec(id=f"in{i}", keys=(key,),
                                strategy=HonestWorkStrategy)
@@ -426,9 +429,14 @@ class TestStanding:
             def plan_requests(self, ctx):
                 return []
 
+        class Acting(ObserverStrategy):
+            def plan_requests(self, ctx):
+                return []
+
         assert not Forging.standing
         assert Renamed.standing and Declared.standing
         assert not Below.standing
+        assert not Acting.standing
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,13 @@ class StakePool(ResourcePool):
             self._seasoned[tip, cutoff] = signers
         return signers
 
+    def describe(self) -> dict:
+        out = super().describe()
+        if self.reward or self.min_recording_age:  # else the base's, as before
+            out.update(reward=str(self.reward),
+                       min_recording_age=self.min_recording_age)
+        return out
+
     def balance_of(self, key: PublicKey, slot: int, view=None) -> Fraction:
         base = self._balances.get(key, Fraction(0))
         if self.reward == 0 or view is None:

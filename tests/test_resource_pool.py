@@ -138,6 +138,19 @@ def test_stake_pool_balances_follow_the_seasoned_chain(index, view):
     assert pool.balance_of(B, 7, view) == 1 and pool.total(7, view) == 6
 
 
+def test_a_rewarded_stake_pool_describes_its_reward():
+    plain = StakePool({A: 2, B: 1})
+    assert plain.describe() == {"family": "StakePool", "mode": SIZED,
+                                "balances": {"a/0": "2", "b/0": "1"}}
+    rewarded = StakePool({A: 2, B: 1}, reward=1, min_recording_age=3)
+    assert rewarded.describe() == {**plain.describe(), "reward": "1",
+                                   "min_recording_age": 3}
+    assert (StakePool({A: 2, B: 1}, reward=2).describe()
+            != StakePool({A: 2, B: 1}, reward=1).describe())
+    assert StakePool({A: 2, B: 1}, min_recording_age=3).describe() == {
+        **plain.describe(), "reward": "0", "min_recording_age": 3}
+
+
 def test_stake_pool_reward_needs_view():
     pool = StakePool({A: 5}, reward=1)
     # without a view the recorded chain is unknown: genesis stake only

@@ -156,10 +156,10 @@ CONFIG_DIGESTS = {
     "partitioned_config": "906b922725eb6b179994fae20bf284cf8bd3133b434559411bcc6468e40b5a0f",
     "wide_random_config": "d553e2bb4f98a249ce7aa39b6f302b52227d8e96d4bd333e97e05dc6a2418b79",
     "drift_pool_config": "52688951f3b048618c6e32348ccd02a92203fcb49b2a8851161423521d5d4089",
-    "stake_reward_config": "1e8476036467855c8a1d97f4c8f3c96d96aab1d6bc895273f0727abc1107d622",
-    "withheld_reward_config": "7e8724240148c8ae3ccf4e572f52e07c8e6e48a39ea686a88432b4423768789d",
+    "stake_reward_config": "75d61c9eeecb133ef3bd694ba4da4865f9e14ed2668084a4d881ab590797f3b7",
+    "withheld_reward_config": "5181d3829a7ab66deb1b6555ede906958c8805af06e9c4b5d12005dc35d3b0f5",
     "stake_lookahead_1_config": "a0f666663aab4ef4f774c527629eca91516bcab5fab98aa0e548f2e568c1583c",
-    "withheld_reward_lookahead_2_config": "833142be8b5e1ffc0d49bc9798319008ad58d0343e24f1119c3dde923861c76d",
+    "withheld_reward_lookahead_2_config": "cc7d8ab585bb7b666a2df0638daecade7109ef1b773745a770fe66d7266e380a",
     "odd_labels_config": "da586816e11d36232add4cb9904d08131db60c1711e4df753cc60f7ad3fa4dc2",
 }
 

@@ -133,9 +133,6 @@ class BlockIndex:
         heights 0..height."""
         return self._max_ts[self.ancestor_at_height(block_id, height)]
 
-    def block_ids(self) -> list[str]:
-        return list(self._parent)
-
 
 # -- relations ---------------------------------------------------------------
 
@@ -255,9 +252,6 @@ class BlockSetView:
     def longest_length(self) -> int:
         """Length of the longest active chain, genesis included."""
         return self._tip_height + 1
-
-    def ids(self) -> set[str]:
-        return set(self.index.ancestry(self._base)) | self._held
 
     # -- updates -----------------------------------------------------------
 

@@ -39,14 +39,16 @@ The transcript is the engine's complete, deterministic record: re-running
 a config with the same seed yields byte-identical serialized transcripts.
 Its lines are ``CANONICAL_JSON`` records: the header is encoded by it, and
 every other record is written from a fixed template that equals it
-(``tests/test_canonical_json.py`` checks one against the other).  The
-loader checks each field's type, so a loaded transcript writes back its
-own bytes.
+(``tests/test_canonical_json.py`` checks one against the other); a save
+writes them one window of slots at a time.  The loader checks each field's
+type, so a loaded transcript writes back its own bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
@@ -62,6 +64,8 @@ from .protocols import ConfirmationRule, StepContext, Strategy
 from .resource_pool import ResourcePool
 
 TRANSCRIPT_FORMAT = 1
+# slots serialized together: a save holds one window's lines at a time
+WINDOW_SLOTS = 256
 
 
 @dataclass
@@ -179,38 +183,68 @@ class Transcript:
     # -- serialization --------------------------------------------------------
 
     def to_lines(self) -> list[str]:
+        return self.to_bytes().decode().split("\n")[:-1]
+
+    def to_bytes(self, window: list | None = None) -> bytes:
+        """The serialized transcript; given a window of ``_chunks``, only
+        the lines of its deliveries, broadcasts, grants and confirmations."""
+        if window is None:
+            return b"".join(self._chunks())
+        deliveries, broadcasts, grants, confirmations = window
         q = _quote
-        lines = [CANONICAL_JSON.encode({
-            "type": "header", "format": TRANSCRIPT_FORMAT, "label": self.label,
-            "seed": self.seed, "duration": self.duration,
-            "roster": list(self.roster_ids),
-            "adversaries": list(self.adversary_ids), "config": self.header})]
         # (4 * slot + kind, line); kinds in slot order: delivery, broadcast,
         # grant, confirm.  The stable sort keeps each kind's own order.
         events = [(4 * slot, f'{{"msg_id":{q(mid)},"proc":{q(proc)},'
-                             f'"slot":{slot},"type":"delivery"}}')
-                  for slot, proc, mid in self.deliveries]
+                             f'"slot":{slot},"type":"delivery"}}\n')
+                  for slot, proc, mid in deliveries]
         store = self.store
         events += [(4 * slot + 1, f'{{"msg":{store[mid].canonical_json()},'
                                   f'"proc":{q(proc)},"slot":{slot},'
-                                  f'"type":"broadcast"}}')
-                   for slot, proc, mid in self.broadcasts]
-        events += [(4 * g["slot"] + 2, _grant_line(g)) for g in self.grants]
+                                  f'"type":"broadcast"}}\n')
+                   for slot, proc, mid in broadcasts]
+        events += [(4 * g["slot"] + 2, _grant_line(g)) for g in grants]
         events += [(4 * slot + 3, f'{{"len":{ln},"proc":{q(proc)},"slot":{slot},'
                                   f'"tip":{"null" if tip is None else q(tip)},'
-                                  f'"type":"confirm"}}')
-                   for slot, proc, tip, ln in self.confirmations]
+                                  f'"type":"confirm"}}\n')
+                   for slot, proc, tip, ln in confirmations]
         events.sort(key=itemgetter(0))
-        lines.extend(line for _, line in events)
-        lines.append(f'{{"broadcasts":{len(self.broadcasts)},"type":"end"}}')
-        return lines
+        return "".join([line for _, line in events]).encode()
 
-    def to_bytes(self) -> bytes:
-        return ("\n".join(self.to_lines()) + "\n").encode()
+    def write(self, fh) -> str:
+        """Write the serialized transcript to the binary file ``fh``, one
+        window of slots at a time, and return the sha256 of its bytes."""
+        sha = hashlib.sha256()
+        for chunk in self._chunks():
+            sha.update(chunk)
+            fh.write(chunk)
+        return sha.hexdigest()
 
-    def save(self, path) -> None:
+    def save(self, path) -> str:
         with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+            return self.write(fh)
+
+    def _chunks(self):
+        """The header line, the lines of each ``WINDOW_SLOTS`` slots from the
+        first slot present, the end line.  Each kind is stably sorted by slot
+        once, so a window sorted by slot and kind is in the global order."""
+        yield (CANONICAL_JSON.encode({
+            "type": "header", "format": TRANSCRIPT_FORMAT, "label": self.label,
+            "seed": self.seed, "duration": self.duration, "config": self.header,
+            "roster": list(self.roster_ids),
+            "adversaries": list(self.adversary_ids)}) + "\n").encode()
+        slot, grant_slot = itemgetter(0), itemgetter("slot")
+        kinds = [(sorted(recs, key=key), key) for recs, key in (
+            (self.deliveries, slot), (self.broadcasts, slot),
+            (self.grants, grant_slot), (self.confirmations, slot))]
+        ends = [key(r) for recs, key in kinds if recs for r in (recs[0], recs[-1])]
+        cuts = [0] * len(kinds)
+        for lo in range(min(ends, default=1), max(ends, default=0) + 1, WINDOW_SLOTS):
+            stops = [bisect_left(recs, lo + WINDOW_SLOTS, cut, key=key)
+                     for (recs, key), cut in zip(kinds, cuts)]
+            yield self.to_bytes([recs[a:b] for (recs, _), a, b
+                                 in zip(kinds, cuts, stops)])
+            cuts = stops
+        yield f'{{"broadcasts":{len(self.broadcasts)},"type":"end"}}\n'.encode()
 
     @classmethod
     def from_lines(cls, lines) -> "Transcript":
@@ -348,7 +382,7 @@ def _grant_line(g: dict) -> str:
             f'"key":[{q(owner)},{index}],'
             f'"leader_slot":{"null" if lslot is None else lslot},'
             f'"m_digest":{g["m_digest"]},"proc":{q(g["proc"])},'
-            f'"slot":{g["slot"]},"type":"grant"}}')
+            f'"slot":{g["slot"]},"type":"grant"}}\n')
 
 
 def _format_problem(exc: Exception) -> str:
@@ -456,6 +490,10 @@ class Execution:
             if not isinstance(strategy, Strategy):
                 raise ConfigError(f"strategy factory for {spec.id!r} returned "
                                   f"{type(strategy).__name__}")
+            if (strategy.standing and not hasattr(config.permitter, "draw")
+                    and type(strategy).plan_requests is not Strategy.plan_requests):
+                raise ConfigError(f"{spec.id!r}: a standing strategy that requests "
+                                  f"needs a permitter that can draw")
             tracker = config.confirmation.make_tracker(view)
             self.runtimes[spec.id] = _ProcessorRuntime(
                 spec, view, strategy, tracker, genesis, self.carriers)

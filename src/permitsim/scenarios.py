@@ -9,8 +9,8 @@ inputs.
 
 from __future__ import annotations
 
-import hashlib
 import json
+import os
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -41,10 +41,8 @@ def _keys(group: str, count: int) -> tuple[PublicKey, ...]:
 def _save(transcript, directory: Path | None) -> str:
     """Serialize the transcript once: write it into ``directory`` when one
     is given, and return the sha256 of its bytes."""
-    data = transcript.to_bytes()
-    if directory is not None:
-        (Path(directory) / f"{transcript.label}.jsonl").write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
+    return transcript.save(os.devnull if directory is None
+                           else Path(directory) / f"{transcript.label}.jsonl")
 
 
 def _pass_rate(flags: list[bool]) -> dict:

@@ -14,6 +14,11 @@ from permitsim.protocols import (HonestStakeStrategy, HonestWorkStrategy,
 from permitsim.resource_pool import SIZED, ConstantBalancePool, StakePool
 
 
+def block_ids(index: BlockIndex) -> list[str]:
+    """Every block id the index holds, in the order it took them."""
+    return list(index._parent)
+
+
 def build_chain(index: BlockIndex, signer: PublicKey, length: int,
                 parent: str | None = None, *, timestamp=None, tag=""):
     """Append ``length`` blocks under ``parent`` (default: genesis)."""
@@ -67,6 +72,12 @@ def work_config(*, duration=300, processors=3, rate=Fraction(1, 10),
         seed=seed,
         label=label,
     )
+
+
+class StandingStaker(HonestStakeStrategy):
+    """An honest staker that claims to stand between its events."""
+
+    standing = True
 
 
 def stake_config(*, duration=300, stakes=None, rate=Fraction(1, 4),

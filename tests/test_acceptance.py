@@ -44,8 +44,9 @@ from permitsim.analysis import (EllTable, certifiable_blocks, check_security,
                                 verify_transcript_invariants, wilson_interval)
 from permitsim.blocktree import BlockIndex, leaves
 from permitsim.engine import ExecutionConfig, ProcessorSpec, run_execution
-from permitsim.experiment import (ExperimentSpec, canonical_report_bytes,
-                                  run_experiment, run_trials)
+from permitsim.experiment import (ExperimentSpec, Scenario,
+                                  canonical_report_bytes, run_experiment,
+                                  run_trials)
 from permitsim.messages import PublicKey, genesis_block, make_block
 from permitsim.network import (PARTIALLY_SYNCHRONOUS, SynchronySchedule,
                                UniformDelayRule)
@@ -56,6 +57,17 @@ from permitsim.protocols import (DensityCertificateRule, HonestStakeStrategy,
 from permitsim.resource_pool import (SIZED, UNSIZED, ConstantBalancePool,
                                      StakePool)
 from permitsim.scenarios import SCENARIOS
+
+
+class _Gate(Scenario):
+    """A gate's per-seed check as a scenario, so that ``run_trials`` runs
+    its seeds on every usable CPU and hands the rows back in seed order."""
+
+    def __init__(self, trial):
+        self.trial = trial  # (params, seed) -> a row of plain values
+
+    def run_trial(self, params, seed, transcript_dir=None):
+        return self.trial(params, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +265,12 @@ def _honest_twin(params: dict, k: int, seed: int) -> ExecutionConfig:
 
 
 def _false_confirm_rate(params: dict, k: int) -> float:
-    bad = 0
-    for seed in range(CALIBRATION_SEEDS):
+    def trial(params, seed):
         transcript = run_execution(_honest_twin(params, k, seed))
-        if not check_security(transcript).ok:
-            bad += 1
-    return bad / CALIBRATION_SEEDS
+        return {"secure": check_security(transcript).ok}
+
+    rows = run_trials(_Gate(trial), params, range(CALIBRATION_SEEDS))
+    return sum(not r["secure"] for r in rows) / CALIBRATION_SEEDS
 
 
 class TestHiddenTotalSimulationAttack:
@@ -278,31 +290,33 @@ class TestHiddenTotalSimulationAttack:
         owners = {key.owner
                   for group in scenario._maj_keys(params) for key in group}
 
-        trials = 200
-        forged = 0          # two incompatible certified blocks broadcast
-        rolled_back = 0     # some processor's confirmed chain flipped
-        for seed in range(trials):
+        def trial(params, seed):
             inner = run_execution(scenario._inner_config(params, seed))
             config, attacker = scenario._attacked_config(params, seed)
             attacked = run_execution(config)
 
             released_at = attacker.released_at
-            if released_at is not None:
-                # the private run must draw grant-for-grant what the
-                # honest inner world drew: exactness, not approximation
-                assert (scenario._grant_trace(inner, owners, released_at)
-                        == scenario._grant_trace(attacked, owners,
-                                                 released_at)), seed
+            # the private run must draw grant-for-grant what the honest
+            # inner world drew: exactness, not approximation
+            coupled = released_at is None or (
+                scenario._grant_trace(inner, owners, released_at)
+                == scenario._grant_trace(attacked, owners, released_at))
 
             broadcast_ids = {mid for _s, _p, mid in attacked.broadcasts}
             certified = certifiable_blocks(broadcast_ids, rule,
                                            attacked.index,
                                            method="structured")
-            if len(leaves(certified, attacked.index)) >= 2:
-                forged += 1
-            if not check_security(attacked).ok:
-                rolled_back += 1
+            return {"seed": seed, "coupled": coupled,
+                    # two incompatible certified blocks broadcast
+                    "forged": len(leaves(certified, attacked.index)) >= 2,
+                    # some processor's confirmed chain flipped
+                    "rolled_back": not check_security(attacked).ok}
 
+        trials = 200
+        rows = run_trials(_Gate(trial), params, range(trials))
+        assert [r["seed"] for r in rows if not r["coupled"]] == []
+        forged = sum(r["forged"] for r in rows)
+        rolled_back = sum(r["rolled_back"] for r in rows)
         forge_rate = forged / trials
         wilson_low, _ = wilson_interval(forged, trials)
         assert forge_rate >= 0.90, forge_rate
@@ -407,14 +421,20 @@ class TestDensityBudgetUnderAttack:
         scenario = SCENARIOS["stake_density_certificates"]
         params = scenario.resolve_params({})
         recal = scenario.plan(params)
-        secure = live = released = 0
-        for seed in range(60):
+
+        def trial(params, seed):
             config, attacker = _density_sim_config(scenario, params,
                                                    recal, seed)
             transcript = run_execution(config)
-            secure += check_security(transcript).ok
-            live += measure_liveness(transcript).satisfies(recal.ell_prime)
-            released += attacker.released_at is not None
+            return {"secure": check_security(transcript).ok,
+                    "live": measure_liveness(transcript).satisfies(
+                        recal.ell_prime),
+                    "released": attacker.released_at is not None}
+
+        rows = run_trials(_Gate(trial), params, range(60))
+        secure = sum(r["secure"] for r in rows)
+        live = sum(r["live"] for r in rows)
+        released = sum(r["released"] for r in rows)
         assert released == 60    # the dump does happen, and does nothing
         assert secure / 60 >= 1 - DENSITY_EPS
         assert live / 60 >= 1 - DENSITY_EPS

@@ -9,10 +9,12 @@ large ints.
 """
 
 import hashlib
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permitsim import engine
 from permitsim.blocktree import BlockIndex
 from permitsim.engine import TRANSCRIPT_FORMAT, Transcript
 from permitsim.messages import (BLOCK, CANONICAL_JSON, PAYLOAD, Message,
@@ -118,3 +120,12 @@ def transcripts(draw):
 @given(transcripts())
 def test_record_lines_match_the_encoder(t):
     assert t.to_lines() == encoder_lines(t)
+
+
+@settings(deadline=None, max_examples=100)
+@given(transcripts(), st.integers(min_value=1, max_value=4))
+def test_record_lines_match_the_encoder_across_windows(t, window_slots):
+    # the drawn slots span a few windows this small, so records of one
+    # kind fall out of order across window boundaries
+    with mock.patch.object(engine, "WINDOW_SLOTS", window_slots):
+        assert t.to_lines() == encoder_lines(t)

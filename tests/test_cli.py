@@ -9,9 +9,10 @@ from permitsim.cli import main
 from permitsim.engine import Transcript, run_execution
 from permitsim.errors import ExecutionFault
 from permitsim.experiment import Scenario
+from permitsim import scenarios
 from permitsim.scenarios import SCENARIOS
 
-from conftest import work_config
+from conftest import StandingStaker, work_config
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +92,16 @@ class TestRun:
             capsys, "run", "--scenario", "stake_density_certificates",
             "--set", "lookahead=0")
         assert code == 2 and "lookahead" in err
+
+    def test_a_standing_staker_is_a_configuration_error(self, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(scenarios, "HonestStakeStrategy", StandingStaker)
+        code, out, err = run_cli(
+            capsys, "run", "--scenario", "stake_density_certificates",
+            "--set", "duration=30", "--jobs", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("configuration error:")
+        assert "permitter that can draw" in err
 
     def test_malformed_override(self, capsys):
         code, _, err = run_cli(

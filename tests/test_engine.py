@@ -18,7 +18,7 @@ from permitsim.protocols import (HonestStakeStrategy, HonestWorkStrategy,
 from permitsim.resource_pool import SIZED, ConstantBalancePool, ScriptedPool
 from permitsim.scenarios import SCENARIOS
 
-from conftest import stake_config, work_config
+from conftest import StandingStaker, stake_config, work_config
 
 
 class TestDeterminism:
@@ -166,6 +166,17 @@ class TestConfigValidation:
             id=cfg.processors[0].id, keys=cfg.processors[0].keys,
             strategy=dict)
         with pytest.raises(ConfigError, match="factory"):
+            run_execution(cfg)
+
+    def test_a_standing_staker_is_refused(self):
+        # the stake permitter answers one target at one slot and draws
+        # nothing to hand back on the slots a standing strategy sits out
+        cfg = stake_config(duration=30)
+        cfg.processors = [ProcessorSpec(id=p.id, keys=p.keys,
+                                        strategy=StandingStaker)
+                          for p in cfg.processors]
+        with pytest.raises(ConfigError, match="'s0': a standing strategy that "
+                           "requests needs a permitter that can draw"):
             run_execution(cfg)
 
 

@@ -23,7 +23,7 @@ from permitsim.protocols import (DensityCertificateRule, HonestStakeStrategy,
                                  StepContext, Strategy, density_threshold,
                                  interval_length_r)
 
-from conftest import build_chain, stake_config
+from conftest import block_ids, build_chain, stake_config
 
 P = PublicKey("p", 0)
 Q = PublicKey("q", 0)
@@ -138,7 +138,7 @@ class TestDensityRule:
         pre = build_chain(index, P, 1, timestamp=lambda i: 5)
         build_chain(index, P, 2, parent=pre[0].id,
                     timestamp=lambda i: 11 + i, tag="in")
-        ids = index.block_ids()
+        ids = block_ids(index)
         assert self.rule(threshold=3).confirm(ids, index) == ()
 
     def test_chain_blocks_must_predate_the_window(self):
@@ -148,7 +148,7 @@ class TestDensityRule:
         late = build_chain(index, P, 1, timestamp=lambda i: 21, tag="late")
         build_chain(index, P, 3, parent=late[0].id,
                     timestamp=lambda i: 21 + i, tag="in")
-        ids = index.block_ids()
+        ids = block_ids(index)
         rule = self.rule(threshold=3)
         assert rule.find_witnesses(ids, index) == []
         assert rule.confirm(ids, index) == ()
@@ -162,7 +162,7 @@ class TestDensityRule:
                         timestamp=lambda i: 15, tag="b")
         build_chain(index, P, 3, parent=b[0].id,
                     timestamp=lambda i: 21 + i, tag="w2")
-        ids = index.block_ids()
+        ids = block_ids(index)
         rule = self.rule(threshold=3)
         # window 2 anchors the length-2 prefix (genesis, a0): longer wins
         assert rule.confirm(ids, index) == (genesis.id, a[0].id)

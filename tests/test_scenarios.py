@@ -1,10 +1,12 @@
 """One small trial through each packaged scenario."""
 
 import hashlib
+import os
+import tracemalloc
 
 import pytest
 
-from permitsim.engine import Transcript
+from permitsim.engine import Transcript, run_execution
 from permitsim.errors import ConfigError
 from permitsim.scenarios import SCENARIOS, get_scenario
 
@@ -42,13 +44,13 @@ class TestSavedTranscripts:
     def test_each_transcript_is_serialized_once(self, name, overrides,
                                                 tmp_path, monkeypatch):
         serialized = []
-        to_bytes = Transcript.to_bytes
+        write = Transcript.write
 
-        def counted(transcript):
+        def counted(transcript, fh):
             serialized.append(transcript.label)
-            return to_bytes(transcript)
+            return write(transcript, fh)
 
-        monkeypatch.setattr(Transcript, "to_bytes", counted)
+        monkeypatch.setattr(Transcript, "write", counted)
         scenario = get_scenario(name)
         params = scenario.resolve_params(overrides)
         row = scenario.run_trial(params, 3, transcript_dir=tmp_path)
@@ -58,8 +60,28 @@ class TestSavedTranscripts:
         digests = {v for k, v in row.items() if k.endswith("_sha256")}
         assert digests == saved
         # the digests do not depend on whether the files are written
+        serialized.clear()
         unsaved = scenario.run_trial(params, 3)
         assert unsaved == row
+        assert sorted(serialized) == [f.stem for f in files]
+
+    def test_a_save_holds_one_window_of_slots_at_a_time(self):
+        scenario = get_scenario("stake_density_certificates")
+
+        def save_peak(duration):
+            params = scenario.resolve_params({"duration": duration})
+            transcript = run_execution(
+                scenario._config(params, 1, scenario.plan(params)))
+            with open(os.devnull, "wb") as fh:
+                tracemalloc.start()
+                try:
+                    transcript.write(fh)
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        # the whole serialized transcript grows fourfold; the save must not
+        assert save_peak(8000) < 1.5 * save_peak(2000)
 
 
 class TestHonestWorkLiveness:

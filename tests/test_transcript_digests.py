@@ -7,6 +7,7 @@ table and says why in CHANGES.md.
 """
 
 import hashlib
+import io
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from permitsim.network import PARTIALLY_SYNCHRONOUS, SynchronySchedule
 from permitsim.permitter import WorkPermitter
 from permitsim.protocols import HonestWorkStrategy
 from permitsim.resource_pool import StakePool, sample_unsized_pool
+from permitsim import scenarios
 from permitsim.scenarios import get_scenario
 
 from conftest import stake_config, work_config
@@ -193,6 +195,18 @@ def test_conftest_config_transcripts_are_unchanged(build):
 def test_loaded_transcripts_give_back_their_bytes(build):
     data = run_execution(build()).to_bytes()
     assert Transcript.from_lines(data.decode().splitlines()).to_bytes() == data
+
+
+@pytest.mark.parametrize("build", CONFIGS, ids=lambda b: b.__name__)
+def test_a_streamed_save_writes_the_same_bytes(build):
+    transcript = run_execution(build())
+    data = transcript.to_bytes()
+    sink = io.BytesIO()
+    digest = transcript.write(sink)
+    assert sink.getvalue() == data
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert digest == CONFIG_DIGESTS[build.__name__]
+    assert scenarios._save(transcript, None) == digest
 
 
 # an honest miner's idle slots (no delivery due, no grant pending) are not

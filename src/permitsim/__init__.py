@@ -35,7 +35,7 @@ from .protocols import (ConfirmationRule, DensityCertificateRule,
                         ProductionProfile, StepContext, Strategy,
                         density_threshold, interval_length_r)
 from .resource_pool import (ConstantBalancePool, ScriptedPool, StakePool,
-                            dominates, is_q_bounded, sample_unsized_pool)
+                            dominates, is_q_bounded)
 from .scenarios import SCENARIOS, get_scenario
 
 __version__ = "0.1.0"

@@ -28,23 +28,23 @@ from the execution seed and the request's own labels, so identical
 requests in coupled executions receive identical verdicts.
 
 A 64-bit draw is granted when it lies below the key's integer cutoff,
-``ceil(threshold * 2**64)``.  While a pool is constant its balances and
-total never change, so each permitter computes a key's cutoff once per
-pool and reuses it; for any other pool the threshold is rebuilt in exact
+``ceil(threshold * 2**64)``.  A draw is ``rng.substream_u64(seed, tag,
+owner, index, *rest)`` with the tag ``"work"`` or ``"stake"``.  Each
+lottery keeps one entry per (pool, seed, key): the key's cutoff and its
+``rng.Prefix``, the SHA-256 state after ``(seed, tag, owner, index)``, so
+a request hashes only its own labels.  While a pool is constant its
+balances and total never change, so the cutoff is computed once; for any
+other pool the entry holds ``None`` and the threshold is rebuilt in exact
 fractions for every slot drawn.
 
-A draw is ``rng.substream_u64(seed, tag, owner, index, *rest)`` with the
-tag ``"work"`` or ``"stake"``.  Each permitter keeps an ``rng.Prefix``,
-the SHA-256 state after ``(seed, tag, owner, index)``, per (seed, key),
-so a request hashes only its own labels.  ``WorkPermitter.draw`` checks
-a request and encodes its ``(m_digest, candidate id)`` tail once, then
-draws it at any slot; ``respond`` draws at one slot.  The work permitter
-keeps each key's last set-up (request, view size, draw) and hands the
-draw back when the same request comes again over an unchanged view, as
-after ``respond`` at a standing miner's event and in the simulation
-attacker's repeated forwards.  The draws share the encoding of the slot
-last drawn in, and no stored draw refers back to the permitter.
-Neither memo changes a draw.  Over two trials of 30 honest miners for
+``WorkPermitter.draw`` checks a request and encodes its ``(m_digest,
+candidate id)`` tail once, then draws it at any slot; ``respond`` draws
+at one slot.  The work permitter keeps each key's last set-up (request,
+view size, draw) and hands the draw back when the same request comes
+again over an unchanged view, as after ``respond`` at a standing miner's
+event and in the simulation attacker's repeated forwards.  The draws
+share the encoding of the slot last drawn in, and no stored draw refers
+back to the permitter.  Neither memo changes a draw.  Over two trials of 30 honest miners for
 1000 slots, 50.0% of the draws asked for reuse a set-up and 96.7% of
 the slots drawn reuse their encoding; over two trials of the
 hidden-total simulation attack, 58.3% (5,299 set-ups for 12,710 asks)
@@ -127,10 +127,10 @@ class _Lottery:
 
     The threshold is min(1, rate * balance / scale), where ``_scale`` is
     the pool's realized total unless a subclass names a determined scale.
-    A cutoff is cached per (pool, key) only while the pool is constant; a
-    zero balance gives cutoff 0, which denies every draw.
-    Draws come from a per-(seed, key) ``rng.Prefix`` of the subclass's
-    ``tag``.
+    Each (pool, seed, key) has one entry: the key's cutoff, or ``None``
+    when the pool is not constant and the cutoff is read at every slot,
+    and its ``rng.Prefix`` of the subclass's ``tag``.  A zero balance
+    gives cutoff 0, which denies every draw.
     """
 
     tag = ""
@@ -139,8 +139,8 @@ class _Lottery:
 
     def __init__(self, rate):
         self.rate = as_fraction(rate)
-        self._cutoffs: dict[tuple[ResourcePool, PublicKey], int] = {}
-        self._prefixes: dict[tuple[int, PublicKey], rng.Prefix] = {}
+        # (pool, seed, key) -> (cutoff or None, prefix)
+        self._entries: dict[tuple, tuple[int | None, rng.Prefix]] = {}
 
     def check_pool(self, pool: ResourcePool) -> None:
         """Raise ``SettingMismatchError`` when the pool cannot serve."""
@@ -153,22 +153,16 @@ class _Lottery:
         """A determined scale, or ``None`` for the pool's realized total."""
         return None
 
-    def _cutoff_for(self, pool: ResourcePool, key: PublicKey, slot: int,
-                    view) -> int:
-        cutoff = self._cutoffs.get((pool, key))
-        if cutoff is not None:  # only constant pools are cached
-            return cutoff
-        cutoff = _fresh_cutoff(self.rate, self._scale(pool), pool, key, slot,
-                               view)
-        if pool.is_constant:
-            self._cutoffs[(pool, key)] = cutoff
-        return cutoff
-
-    def _new_prefix(self, seed: int, key: PublicKey) -> rng.Prefix:
-        """The hash state of (seed, tag, owner, index), made on first use."""
-        prefix = self._prefixes[(seed, key)] = rng.Prefix(
-            seed, self.tag, key.owner, key.index)
-        return prefix
+    def _entry(self, pool: ResourcePool, seed: int,
+               key: PublicKey) -> tuple[int | None, rng.Prefix]:
+        entry = self._entries.get((pool, seed, key))
+        if entry is None:
+            # a constant pool reads no slot and no message state
+            cutoff = (_fresh_cutoff(self.rate, self._scale(pool), pool, key, 0,
+                                    None) if pool.is_constant else None)
+            entry = self._entries[pool, seed, key] = (
+                cutoff, rng.Prefix(seed, self.tag, key.owner, key.index))
+        return entry
 
 
 class WorkPermitter(_Lottery):
@@ -224,8 +218,7 @@ class WorkPermitter(_Lottery):
         if (last is not None and last[0] is request and last[1] == size
                 and last[2] is pool and last[3] == seed):
             return last[4]
-        # a constant pool reads no slot; any other is read at every slot
-        fixed = self._cutoff_for(pool, key, 0, view) if pool.is_constant else None
+        fixed, prefix = self._entry(pool, seed, key)
         parent = cand.parent if cand is not None else None
         if (fixed == 0 or parent is None or not cand.is_block
                 or cand.signer != key
@@ -235,7 +228,6 @@ class WorkPermitter(_Lottery):
                 or view.index.height(parent) + 1 != view.longest_length):
             draw_at = None
         else:
-            prefix = self._prefixes.get((seed, key)) or self._new_prefix(seed, key)
             tail = rng.encode(request.m_digest, cand.id)
             # the draw holds values, never the permitter it is stored in
             rate, scale, last_slot = self.rate, self._scale(pool), self._slot
@@ -273,8 +265,6 @@ class StakePermitter(_Lottery):
         if self.lookahead < 1:  # slot t' is asked at t' - 1 or earlier
             raise ConfigError("lookahead must be at least one slot")
         self._target = [None, b""]  # the last target drawn for, its encoding
-        # (pool, seed, key) -> (cutoff, prefix), for constant pools
-        self._entries: dict[tuple, tuple[int, rng.Prefix]] = {}
 
     def check_pool(self, pool: ResourcePool) -> None:
         if pool.mode != SIZED:
@@ -293,13 +283,10 @@ class StakePermitter(_Lottery):
                 or target > slot + self.lookahead):
             return None
         key = request.key
-        entry = self._entries.get((pool, seed, key))
-        if entry is None:
-            entry = (self._cutoff_for(pool, key, target, request.view),
-                     self._prefixes.get((seed, key)) or self._new_prefix(seed, key))
-            if pool.is_constant:
-                self._entries[pool, seed, key] = entry
-        cutoff, prefix = entry
+        cutoff, prefix = self._entry(pool, seed, key)
+        if cutoff is None:
+            cutoff = _fresh_cutoff(self.rate, None, pool, key, target,
+                                   request.view)
         if not cutoff:
             return None
         # every key asks for a target in the same slot, so they share its

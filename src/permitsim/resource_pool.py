@@ -9,7 +9,10 @@ Pools come in two modes.  A *sized* pool is part of the determined
 instance: the permitter (and analysis) may use any feature of it,
 including the total.  An *unsized* pool is hidden: protocols know only
 the declared bounds [alpha0, alpha1] on the total, and the permitter may
-consult nothing beyond the queried key's own balance.
+consult nothing beyond the queried key's own balance.  The one unsized
+pool, ``ConstantBalancePool``, is a constant hidden total: its balances
+move with neither the slot nor the message state, so its header states
+all of it.
 
 Balances are exact fractions so that strict domination comparisons never
 hinge on float rounding.
@@ -20,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import rng
 from .errors import ConfigError
 from .messages import PublicKey
 
@@ -101,15 +103,14 @@ class ResourcePool:
 
 
 class ConstantBalancePool(ResourcePool):
-    """Fixed balances, optionally scaled by a per-slot total profile.
+    """Fixed balances: a constant hash-rate or stake distribution.
 
-    With no profile this models a constant hash-rate distribution; with a
-    profile it realizes a hidden (unsized) total that moves inside the
-    declared bounds while shares stay fixed.
+    Unsized, its realized total is a constant that protocols and the
+    permitter never read; they know only the declared bounds.
     """
 
     def __init__(self, balances: dict, *, mode: str = UNSIZED,
-                 bounds: tuple | None = None, profile=None):
+                 bounds: tuple | None = None):
         super().__init__(balances)
         if mode not in (SIZED, UNSIZED):
             raise ConfigError(f"unknown pool mode {mode!r}")
@@ -124,23 +125,17 @@ class ConstantBalancePool(ResourcePool):
             self.bounds = (a0, a1)
         if mode == UNSIZED and self.bounds is None:
             raise ConfigError("unsized pools must declare total bounds")
-        self._profile = profile  # slot -> Fraction multiplier on the total
-        self._base_total = sum(self._balances.values(), Fraction(0))
-
-    def _scale(self, slot: int) -> Fraction:
-        if self._profile is None:
-            return Fraction(1)
-        return self._profile(slot) / self._base_total
+        self._total = sum(self._balances.values(), Fraction(0))
 
     def balance_of(self, key: PublicKey, slot: int, view=None) -> Fraction:
-        return self._balances.get(key, Fraction(0)) * self._scale(slot)
+        return self._balances.get(key, Fraction(0))
 
     def total(self, slot: int, view=None) -> Fraction:
-        return self._base_total * self._scale(slot)
+        return self._total
 
     @property
     def is_constant(self) -> bool:
-        return self._profile is None
+        return True
 
 
 class StakePool(ResourcePool):
@@ -253,53 +248,6 @@ class ScriptedPool(ResourcePool):
         """Every key with a positive balance in some segment."""
         return list(dict.fromkeys(
             k for _, bal in self._segments for k, v in bal.items() if v > 0))
-
-
-def sample_unsized_pool(bounds: tuple, shares: dict, profile: str, seed: int,
-                        duration: int) -> ConstantBalancePool:
-    """Draw a concrete hidden pool whose total stays inside ``bounds``.
-
-    Profiles: ``constant`` (one total for the whole run, drawn uniformly
-    in the bounds), ``step`` (lower bound until mid-duration, then the
-    upper bound), ``drift`` (linear from lower to upper bound).
-    """
-    a0, a1 = as_fraction(bounds[0]), as_fraction(bounds[1])
-    if a0 <= 0:
-        raise ConfigError("lower total bound must be positive")
-    if a1 < a0:
-        raise ConfigError("upper total bound below lower bound")
-    share_fracs = {parse_key(k): as_fraction(v) for k, v in shares.items()}
-    if sum(share_fracs.values(), Fraction(0)) != 1:
-        raise ConfigError("pool shares must sum to exactly 1")
-    if profile == "constant":
-        u = Fraction(rng.substream_u64(seed, "pool-total"), 2**64)
-        total_at = {None: a0 + (a1 - a0) * u}
-
-        def totals(slot: int) -> Fraction:
-            return total_at[None]
-
-    elif profile == "step":
-        if a1 <= a0:
-            raise ConfigError("step profile needs distinct bounds")
-        mid = duration // 2
-
-        def totals(slot: int) -> Fraction:
-            return a0 if slot <= mid else a1
-
-    elif profile == "drift":
-        if a1 <= a0:
-            raise ConfigError("drift profile needs distinct bounds")
-        span = max(duration - 1, 1)
-
-        def totals(slot: int) -> Fraction:
-            frac = Fraction(min(max(slot - 1, 0), span), span)
-            return a0 + (a1 - a0) * frac
-
-    else:
-        raise ConfigError(f"unknown pool profile {profile!r}")
-
-    return ConstantBalancePool(share_fracs, mode=UNSIZED, bounds=(a0, a1),
-                               profile=totals)
 
 
 # -- adversary bound checks ---------------------------------------------------

@@ -19,7 +19,7 @@ from permitsim.errors import ConfigError, SettingMismatchError
 from permitsim.messages import PublicKey, genesis_block, make_block
 from permitsim.protocols import (DensityCertificateRule, KDeepRule,
                                  ProductionProfile)
-from permitsim.resource_pool import StakePool, sample_unsized_pool
+from permitsim.resource_pool import ConstantBalancePool, StakePool
 
 from conftest import build_chain, work_config
 
@@ -496,8 +496,7 @@ class TestCertificateRecalibration:
         assert plan.eps_prime == 0.05
 
     def test_unsized_pool_is_rejected(self):
-        pool = sample_unsized_pool((2, 6), {"p": 1}, "constant", seed=1,
-                                   duration=10)
+        pool = ConstantBalancePool({"p": 1}, bounds=(2, 6))
         with pytest.raises(SettingMismatchError):
             build_certificate_recalibration(
                 0.2, 1.5, ProductionProfile(rate=1.0), 2000, 12, pool=pool)

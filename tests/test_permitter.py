@@ -20,8 +20,7 @@ from permitsim.permitter import (LeaderGrant, PermitRequest, PermitResponse,
                                  StakePermitter, WorkPermitter, _cutoff,
                                  enforce_request_budget)
 from permitsim.resource_pool import (SIZED, UNSIZED, ConstantBalancePool,
-                                     ScriptedPool, StakePool,
-                                     sample_unsized_pool)
+                                     ScriptedPool, StakePool)
 
 from conftest import work_config
 
@@ -33,6 +32,12 @@ def fresh_view(timed=False):
     genesis = genesis_block(timed=timed)
     index = BlockIndex(genesis)
     return BlockSetView.fresh(index, genesis), genesis
+
+
+def drifting_pool():
+    """Balances that move at every slot of a 40-slot run."""
+    return ScriptedPool([(slot, {KEY: 1 + slot % 4, OTHER: 1})
+                         for slot in range(1, 41)])
 
 
 def work_request(view, genesis, key=KEY, parent=None, payload="c0"):
@@ -175,9 +180,7 @@ class TestWorkPermitter:
     @pytest.mark.parametrize("pool", [
         ConstantBalancePool({KEY: 1, OTHER: 1}, mode=SIZED),
         ConstantBalancePool({KEY: 1, OTHER: 0}, mode=SIZED),  # KEY holds all
-        # a drifting hidden total: the cutoff is read again every slot
-        ConstantBalancePool({KEY: 1, OTHER: 1}, mode=UNSIZED, bounds=(1, 4),
-                            profile=lambda slot: Fraction(1 + slot % 4)),
+        drifting_pool(),  # the cutoff is read again every slot
         ScriptedPool([(1, {KEY: 1, OTHER: 1}), (20, {KEY: 0, OTHER: 1})]),
     ], ids=["constant", "one-key", "drift", "scripted-to-zero"])
     def test_a_draw_answers_like_respond_at_every_slot(self, pool):
@@ -215,25 +218,19 @@ class TestWorkPermitter:
             WorkPermitter(Fraction(1, 4), reference_scale=scale)
 
 
-def drifting_pool():
-    return ConstantBalancePool({KEY: 1, OTHER: 1}, mode=UNSIZED,
-                               bounds=(1, 4),
-                               profile=lambda slot: Fraction(1 + slot % 4))
-
-
 class TestDrawMemo:
     """The work permitter keeps each key's last set-up: the same request
     over an unchanged view gets the same draw back."""
 
     def test_respond_then_draw_sets_up_once(self, monkeypatch):
-        setups = []  # a set-up reads a constant pool's cutoff once
-        cutoff_for = WorkPermitter._cutoff_for
+        setups = []  # a set-up checks its candidate's parent once
+        is_active = BlockSetView.is_active
 
-        def counted(self, *args):
-            setups.append(args)
-            return cutoff_for(self, *args)
+        def counted(self, block_id):
+            setups.append(block_id)
+            return is_active(self, block_id)
 
-        monkeypatch.setattr(WorkPermitter, "_cutoff_for", counted)
+        monkeypatch.setattr(BlockSetView, "is_active", counted)
         pool = ConstantBalancePool({KEY: 1}, mode=SIZED)
         permitter = WorkPermitter(Fraction(1, 2))
         view, genesis = fresh_view()
@@ -281,10 +278,10 @@ class TestDrawMemo:
         counting alone frees it with the run."""
         config = work_config(duration=200)
         if pool == "drift":
-            config.pool = sample_unsized_pool(
-                (3, 6), {f"p{i}": Fraction(1, 3) for i in range(3)},
-                profile="drift", seed=5, duration=200)
-            config.permitter = WorkPermitter(Fraction(1, 10), reference_scale=3)
+            keys = [PublicKey(f"p{i}", 0) for i in range(3)]
+            config.pool = ScriptedPool(
+                [(slot, {key: 1 + (slot + i) % 3 for i, key in enumerate(keys)})
+                 for slot in range(1, 201, 25)])
         gc.disable()
         try:
             transcript = run_execution(config)

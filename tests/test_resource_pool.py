@@ -10,7 +10,7 @@ from permitsim.errors import ConfigError
 from permitsim.messages import PublicKey
 from permitsim.resource_pool import (SIZED, UNSIZED, ConstantBalancePool,
                                      ScriptedPool, StakePool, dominates,
-                                     is_q_bounded, sample_unsized_pool)
+                                     is_q_bounded)
 
 from conftest import build_chain
 
@@ -157,44 +157,3 @@ def test_stake_pool_reward_needs_view():
     assert pool.balance_of(A, 3) == 5
     assert not pool.is_constant
     assert StakePool({A: 5}).is_constant
-
-
-class TestSampleUnsizedPool:
-    def test_constant_profile_total_inside_bounds(self):
-        pool = sample_unsized_pool((2, 6), {"a/0": Fraction(1, 2),
-                                            "b/0": Fraction(1, 2)},
-                                   "constant", seed=9, duration=100)
-        total = pool.total(1)
-        assert 2 <= total <= 6
-        assert pool.total(50) == total
-        assert pool.balance_of(A, 1) == total / 2
-
-    def test_drift_profile_moves_between_bounds(self):
-        pool = sample_unsized_pool((2, 6), {"a/0": 1}, "drift",
-                                   seed=9, duration=11)
-        assert pool.total(1) == 2
-        assert pool.total(11) == 6
-        assert pool.total(1) < pool.total(6) < pool.total(11)
-
-    def test_step_profile(self):
-        pool = sample_unsized_pool((2, 6), {"a/0": 1}, "step",
-                                   seed=9, duration=10)
-        assert pool.total(5) == 2
-        assert pool.total(6) == 6
-
-    def test_shares_must_sum_to_one(self):
-        with pytest.raises(ConfigError):
-            sample_unsized_pool((1, 2), {"a/0": Fraction(1, 2)},
-                                "constant", seed=1, duration=10)
-
-    def test_same_seed_same_pool(self):
-        p1 = sample_unsized_pool((2, 6), {"a/0": 1}, "constant", 4, 10)
-        p2 = sample_unsized_pool((2, 6), {"a/0": 1}, "constant", 4, 10)
-        assert p1.total(1) == p2.total(1)
-
-    def test_a_key_share_equals_its_label_share(self):
-        by_key = sample_unsized_pool((2, 6), {A: 1}, "constant", 1, 10)
-        by_label = sample_unsized_pool((2, 6), {"a/0": 1}, "constant", 1, 10)
-        assert by_key.declared_keys() == by_label.declared_keys() == [A]
-        assert by_key.describe() == by_label.describe()
-        assert by_key.balance_of(A, 1) == by_label.balance_of(A, 1) > 0

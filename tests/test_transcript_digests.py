@@ -16,9 +16,8 @@ from permitsim.adversary import StakeWithholdStrategy
 from permitsim.engine import ProcessorSpec, Transcript, run_execution
 from permitsim.messages import PublicKey
 from permitsim.network import PARTIALLY_SYNCHRONOUS, SynchronySchedule
-from permitsim.permitter import WorkPermitter
 from permitsim.protocols import HonestWorkStrategy
-from permitsim.resource_pool import StakePool, sample_unsized_pool
+from permitsim.resource_pool import ScriptedPool, StakePool
 from permitsim import scenarios
 from permitsim.scenarios import get_scenario
 
@@ -97,14 +96,13 @@ def wide_random_config():
 
 
 # pools whose balances move, so no grant threshold may be reused
-def drift_pool_config():
-    """Three miners on a hidden total drifting from 3 to 6, normalized by
-    a reference scale of 3."""
-    cfg = work_config(duration=300, label="drift-pool")
-    shares = {f"p{i}": Fraction(1, 3) for i in range(3)}
-    cfg.pool = sample_unsized_pool((3, 6), shares, profile="drift", seed=5,
-                                   duration=300)
-    cfg.permitter = WorkPermitter(Fraction(1, 10), reference_scale=3)
+def scripted_pool_config():
+    """Three equal miners until slot 150; from then on p0 holds three
+    quarters and p2 nothing."""
+    cfg = work_config(duration=300, label="scripted-pool")
+    p0, p1, p2 = (PublicKey(f"p{i}", 0) for i in range(3))
+    cfg.pool = ScriptedPool([(1, {p0: 1, p1: 1, p2: 1}),
+                             (150, {p0: 3, p1: 1, p2: 0})])
     return cfg
 
 
@@ -157,7 +155,7 @@ CONFIG_DIGESTS = {
     "stake_config": "2d4908654ce50e3ae456fcc521b87e4856cfffffb4ae336a0ee4f204e2a524f5",
     "partitioned_config": "906b922725eb6b179994fae20bf284cf8bd3133b434559411bcc6468e40b5a0f",
     "wide_random_config": "d553e2bb4f98a249ce7aa39b6f302b52227d8e96d4bd333e97e05dc6a2418b79",
-    "drift_pool_config": "52688951f3b048618c6e32348ccd02a92203fcb49b2a8851161423521d5d4089",
+    "scripted_pool_config": "2418fb918ed74b638dcbe51bf40f14af304f815f0b29a2decd8101f3aa961c0d",
     "stake_reward_config": "75d61c9eeecb133ef3bd694ba4da4865f9e14ed2668084a4d881ab590797f3b7",
     "withheld_reward_config": "5181d3829a7ab66deb1b6555ede906958c8805af06e9c4b5d12005dc35d3b0f5",
     "stake_lookahead_1_config": "a0f666663aab4ef4f774c527629eca91516bcab5fab98aa0e548f2e568c1583c",
@@ -180,7 +178,7 @@ def test_scenario_transcripts_are_unchanged(case, seed):
 
 
 CONFIGS = [work_config, stake_config, partitioned_config, wide_random_config,
-           drift_pool_config, stake_reward_config, withheld_reward_config,
+           scripted_pool_config, stake_reward_config, withheld_reward_config,
            stake_lookahead_1_config, withheld_reward_lookahead_2_config,
            odd_labels_config]
 
@@ -212,7 +210,7 @@ def test_a_streamed_save_writes_the_same_bytes(build):
 # an honest miner's idle slots (no delivery due, no grant pending) are not
 # stepped; its standing request is only drawn again
 UNTIMED = [work_config, partitioned_config, wide_random_config,
-           drift_pool_config]
+           scripted_pool_config]
 
 
 class _SteppedEverySlot(HonestWorkStrategy):

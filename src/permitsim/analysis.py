@@ -265,6 +265,11 @@ def _certifiable_exhaustive(msg_ids, rule, index: BlockIndex) -> set[str]:
 # ---------------------------------------------------------------------------
 
 
+def _keep_earliest(firsts: dict, key, slot: int) -> None:
+    if firsts.get(key, slot) >= slot:
+        firsts[key] = slot
+
+
 def verify_transcript_invariants(transcript: Transcript) -> list[str]:
     """Audit a transcript against the execution model; returns problems."""
     problems: list[str] = []
@@ -318,43 +323,32 @@ def verify_transcript_invariants(transcript: Transcript) -> list[str]:
                 f"{mid[:12]} delivered to {receiver} at {slot}, "
                 f"not after broadcast slot {sent}")
 
-    # permission soundness: every broadcast is covered
-    granted_to: dict[tuple[str, str], int] = {}
-    leader_grants: dict[str, list[tuple[str, int, int]]] = {}
+    # permission soundness: every broadcast is covered.  Each map holds
+    # the earliest grant, the one any later broadcast may rely on.
+    granted_at: dict[tuple[str, str], int] = {}  # (proc, message)
+    leader_at: dict[tuple[str, str, int], int] = {}  # (proc, key, slot)
     for g in transcript.grants:
         for mid in g["granted"]:
-            granted_to[(g["proc"], mid)] = g["slot"]
+            _keep_earliest(granted_at, (g["proc"], mid), g["slot"])
         if g.get("leader_slot") is not None:
-            leader_grants.setdefault(g["proc"], []).append(
-                (f'{g["key"][0]}/{g["key"][1]}', g["leader_slot"], g["slot"]))
-    delivered_at: dict[tuple[str, str], int] = {}
+            _keep_earliest(leader_at, (g["proc"], f'{g["key"][0]}/{g["key"][1]}',
+                                       g["leader_slot"]), g["slot"])
+    held_at: dict[tuple[str, str], int] = {}  # (proc, message) it holds
     for slot, receiver, mid in transcript.deliveries:
-        delivered_at.setdefault((receiver, mid), slot)
+        _keep_earliest(held_at, (receiver, mid), slot)
 
-    broadcast_before: dict[tuple[str, str], int] = {}
     for slot, sender, mid in transcript.broadcasts:
         msg = store[mid]
-        covered = False
-        prior = broadcast_before.get((sender, mid))
-        if prior is not None and prior <= slot:
-            covered = True
-        got = delivered_at.get((sender, mid))
-        if not covered and got is not None and got <= slot:
-            covered = True
-        gslot = granted_to.get((sender, mid))
-        if not covered and gslot is not None and gslot < slot:
-            covered = True
-        if not covered and msg.is_block and msg.timestamp is not None:
+        pair = (sender, mid)
+        granted = granted_at.get(pair, slot)
+        if msg.is_block and msg.timestamp is not None:
             signer = msg.signer.label() if msg.signer else ""
-            for key_label, lslot, granted_slot in leader_grants.get(sender, ()):
-                if (key_label == signer and lslot == msg.timestamp
-                        and granted_slot < slot):
-                    covered = True
-                    break
-        if not covered:
+            granted = min(granted,
+                          leader_at.get((sender, signer, msg.timestamp), slot))
+        if held_at.get(pair, slot + 1) > slot and granted >= slot:
             problems.append(
                 f"{sender} broadcast unpermitted message {mid[:12]} at {slot}")
-        broadcast_before.setdefault((sender, mid), slot)
+        _keep_earliest(held_at, pair, slot)
 
     # confirmed tips: broadcast (or genesis), consistent per processor
     last_by_proc: dict[str, tuple[str, int]] = {}

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,9 @@ from permitsim.blocktree import BlockIndex
 from permitsim.engine import Transcript, run_execution
 from permitsim.errors import ConfigError, SettingMismatchError
 from permitsim.messages import PublicKey, genesis_block, make_block
+from permitsim.permitter import PermitRequest
 from permitsim.protocols import (DensityCertificateRule, KDeepRule,
-                                 ProductionProfile)
+                                 ProductionProfile, Strategy)
 from permitsim.resource_pool import ConstantBalancePool, StakePool
 
 from conftest import build_chain, work_config
@@ -284,6 +286,29 @@ class TestCertifiableBlocks:
 # ---------------------------------------------------------------------------
 
 
+class _AskedAgainAfterBroadcast(Strategy):
+    """Asks for one block over a frozen genesis view at every slot, and
+    broadcasts it when the first grant is handed back."""
+
+    def __init__(self):
+        self._request = None
+        self._sent = False
+
+    def plan_broadcasts(self, ctx):
+        if self._sent or not ctx.responses:
+            return []
+        self._sent = True
+        return [self._request.candidate]
+
+    def plan_requests(self, ctx):
+        if self._request is None:
+            view = ctx.view.chain_view()  # genesis alone, never added to
+            block = make_block(ctx.keys[0], view.longest_tip)
+            self._request = PermitRequest(key=ctx.keys[0], view=view,
+                                          candidate=block)
+        return [self._request]
+
+
 class TestInvariants:
     def fresh(self, **kw):
         return run_execution(work_config(duration=120, **kw))
@@ -314,6 +339,15 @@ class TestInvariants:
         t = self.fresh()
         del t.grants[0]
         assert any("unpermitted" in p for p in verify_transcript_invariants(t))
+
+    def test_a_grant_after_the_broadcast_masks_no_earlier_one(self):
+        config = work_config(duration=20, processors=1, rate=Fraction(1, 2))
+        config.processors[0].strategy = _AskedAgainAfterBroadcast
+        t = run_execution(config)
+        [(sent, _proc, mid)] = t.broadcasts
+        granted = [g["slot"] for g in t.grants if mid in g["granted"]]
+        assert min(granted) < sent < max(granted)
+        assert verify_transcript_invariants(t) == []
 
     def test_parent_order_is_checked(self):
         t = self.fresh()

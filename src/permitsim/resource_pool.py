@@ -57,6 +57,22 @@ def parse_key(label) -> PublicKey:
     return PublicKey(label, 0)
 
 
+def _positive_balances(balances: dict) -> dict[PublicKey, Fraction]:
+    """The keys holding a positive balance; refuses a negative balance
+    and a zero total."""
+    out: dict[PublicKey, Fraction] = {}
+    for label, value in balances.items():
+        key = parse_key(label)
+        frac = as_fraction(value)
+        if frac < 0:
+            raise ConfigError(f"negative balance for {key.label()}")
+        if frac > 0:
+            out[key] = frac
+    if not out:
+        raise ConfigError("pool must hold a positive total balance")
+    return out
+
+
 class ResourcePool:
     """Base class; subclasses implement balance_of and total."""
 
@@ -64,16 +80,7 @@ class ResourcePool:
     bounds: tuple[Fraction, Fraction] | None = None
 
     def __init__(self, balances: dict):
-        self._balances: dict[PublicKey, Fraction] = {}
-        for label, value in balances.items():
-            key = parse_key(label)
-            frac = as_fraction(value)
-            if frac < 0:
-                raise ConfigError(f"negative balance for {key.label()}")
-            if frac > 0:
-                self._balances[key] = frac
-        if not self._balances:
-            raise ConfigError("pool must hold a positive total balance")
+        self._balances = _positive_balances(balances)
 
     # -- interface used by the permitter and analysis ----------------------
 
@@ -209,6 +216,7 @@ class ScriptedPool(ResourcePool):
     ``segments`` is a list of (first_slot, balances) entries sorted by
     first_slot; a segment applies from its first slot until the next
     segment starts.  Useful for stress tests where adversary power moves.
+    Every segment obeys a pool's rules, and the header lists each one.
     """
 
     mode = SIZED
@@ -219,14 +227,9 @@ class ScriptedPool(ResourcePool):
         starts = [s for s, _ in segments]
         if starts != sorted(starts) or len(set(starts)) != len(starts):
             raise ConfigError("scripted segments must have increasing start slots")
-        self._segments = [
-            (int(start),
-             {parse_key(k): as_fraction(v) for k, v in bal.items()})
-            for start, bal in segments
-        ]
-        for _, bal in self._segments:
-            if sum(bal.values(), Fraction(0)) <= 0:
-                raise ConfigError("every scripted segment needs positive total")
+        self._segments = [(int(start), _positive_balances(bal))
+                          for start, bal in segments]
+        # the declared keys: every key with a positive balance in a segment
         super().__init__({k: v for _, bal in self._segments for k, v in bal.items()})
 
     def _segment(self, slot: int) -> dict:
@@ -244,10 +247,13 @@ class ScriptedPool(ResourcePool):
     def total(self, slot: int, view=None) -> Fraction:
         return sum(self._segment(slot).values(), Fraction(0))
 
-    def declared_keys(self) -> list[PublicKey]:
-        """Every key with a positive balance in some segment."""
-        return list(dict.fromkeys(
-            k for _, bal in self._segments for k, v in bal.items() if v > 0))
+    def describe(self) -> dict:
+        return {
+            "family": type(self).__name__,
+            "mode": self.mode,
+            "segments": [[start, {k.label(): str(v) for k, v in sorted(bal.items())}]
+                         for start, bal in self._segments],
+        }
 
 
 # -- adversary bound checks ---------------------------------------------------

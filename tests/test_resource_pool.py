@@ -88,6 +88,21 @@ def test_scripted_pool_segments():
     assert pool.total(9) == 4
 
 
+def test_scripted_pool_refuses_a_negative_balance_in_any_segment():
+    with pytest.raises(ConfigError, match="negative balance for a/0"):
+        ScriptedPool([(1, {A: -1, B: 2}), (5, {A: 1, B: 1})])
+
+
+def test_scripted_pool_describes_every_segment():
+    moving = ScriptedPool([(1, {A: 1, B: 1, C: 1}), (150, {A: 3, B: 1, C: 0})])
+    fixed = ScriptedPool([(1, {A: 3, B: 1})])
+    assert moving.describe() == {
+        "family": "ScriptedPool", "mode": SIZED,
+        "segments": [[1, {"a/0": "1", "b/0": "1", "c/0": "1"}],
+                     [150, {"a/0": "3", "b/0": "1"}]]}
+    assert fixed.describe()["segments"] == [[1, {"a/0": "3", "b/0": "1"}]]
+
+
 def test_scripted_pool_declares_every_key_that_ever_holds_balance():
     pool = ScriptedPool([(1, {A: 1, B: 5}), (10, {A: 1, B: 0}),
                          (20, {A: 0, B: 0, C: 1})])

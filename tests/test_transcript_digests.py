@@ -155,7 +155,7 @@ CONFIG_DIGESTS = {
     "stake_config": "2d4908654ce50e3ae456fcc521b87e4856cfffffb4ae336a0ee4f204e2a524f5",
     "partitioned_config": "906b922725eb6b179994fae20bf284cf8bd3133b434559411bcc6468e40b5a0f",
     "wide_random_config": "d553e2bb4f98a249ce7aa39b6f302b52227d8e96d4bd333e97e05dc6a2418b79",
-    "scripted_pool_config": "2418fb918ed74b638dcbe51bf40f14af304f815f0b29a2decd8101f3aa961c0d",
+    "scripted_pool_config": "442d8ccb709a4b884b99298a44f2f8e61bd0c86c471be89b9c16bf5b92f8c6c8",
     "stake_reward_config": "75d61c9eeecb133ef3bd694ba4da4865f9e14ed2668084a4d881ab590797f3b7",
     "withheld_reward_config": "5181d3829a7ab66deb1b6555ede906958c8805af06e9c4b5d12005dc35d3b0f5",
     "stake_lookahead_1_config": "a0f666663aab4ef4f774c527629eca91516bcab5fab98aa0e548f2e568c1583c",

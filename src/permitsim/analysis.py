@@ -54,15 +54,6 @@ class LivenessReport:
     def satisfies(self, ell: int) -> bool:
         return ell >= self.minimal_uniform_ell
 
-    def failures(self, ell: int) -> list[tuple[int, int, int]]:
-        """(t2, min at t2, prefix max at t2 - ell) for each violated pair."""
-        out = []
-        for t2 in range(ell + 1, self.duration + 1):
-            ceiling = self.prefix_max_len[t2 - ell - 1]
-            if self.min_len[t2 - 1] <= ceiling:
-                out.append((t2, self.min_len[t2 - 1], ceiling))
-        return out
-
 
 def measure_liveness(transcript: Transcript,
                      processors: list[str] | None = None) -> LivenessReport:

@@ -145,13 +145,6 @@ def compatible(a: str, b: str, index: BlockIndex) -> bool:
     return index.ancestor_at_height(a, hb) == b
 
 
-def leaves(block_ids, index: BlockIndex) -> set[str]:
-    """Blocks in the set with no child in the set."""
-    ids = set(block_ids)
-    with_child = {index.parent(b) for b in ids if index.parent(b) in ids}
-    return ids - with_child
-
-
 def complete_in(block_id: str, present: set[str], index: BlockIndex) -> bool:
     """True when the block's full ancestry lies inside ``present``."""
     return present.issuperset(index.ancestry(block_id))

@@ -182,9 +182,6 @@ class Transcript:
 
     # -- serialization --------------------------------------------------------
 
-    def to_lines(self) -> list[str]:
-        return self.to_bytes().decode().split("\n")[:-1]
-
     def to_bytes(self, window: list | None = None) -> bytes:
         """The serialized transcript; given a window of ``_chunks``, only
         the lines of its deliveries, broadcasts, grants and confirmations."""

@@ -44,11 +44,11 @@ view size, draw) and hands the draw back when the same request comes
 again over an unchanged view, as after ``respond`` at a standing miner's
 event and in the simulation attacker's repeated forwards.  The draws
 share the encoding of the slot last drawn in, and no stored draw refers
-back to the permitter.  Neither memo changes a draw.  Over two trials of 30 honest miners for
-1000 slots, 50.0% of the draws asked for reuse a set-up and 96.7% of
-the slots drawn reuse their encoding; over two trials of the
-hidden-total simulation attack, 58.3% (5,299 set-ups for 12,710 asks)
-and 83.2%.
+back to the permitter.  Neither memo changes a draw.  Over two trials
+of 30 honest miners for 1000 slots, 50.0% of the draws asked for reuse
+a set-up and 96.7% of the slots drawn reuse their encoding; over two
+trials of the hidden-total simulation attack, 58.3% (5,299 set-ups for
+12,710 asks) and 83.2%.
 """
 
 from __future__ import annotations

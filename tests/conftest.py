@@ -19,6 +19,18 @@ def block_ids(index: BlockIndex) -> list[str]:
     return list(index._parent)
 
 
+def leaves(block_ids, index: BlockIndex) -> set[str]:
+    """Blocks in the set with no child in the set."""
+    ids = set(block_ids)
+    with_child = {index.parent(b) for b in ids if index.parent(b) in ids}
+    return ids - with_child
+
+
+def transcript_lines(transcript) -> list[str]:
+    """A transcript's records, one line of text each."""
+    return transcript.to_bytes().decode().split("\n")[:-1]
+
+
 def build_chain(index: BlockIndex, signer: PublicKey, length: int,
                 parent: str | None = None, *, timestamp=None, tag=""):
     """Append ``length`` blocks under ``parent`` (default: genesis)."""

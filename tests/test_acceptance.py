@@ -42,7 +42,7 @@ from permitsim.analysis import (EllTable, certifiable_blocks, check_security,
                                 measure_liveness, recalibrate_union_bound,
                                 sublinear_overhead_threshold,
                                 verify_transcript_invariants, wilson_interval)
-from permitsim.blocktree import BlockIndex, leaves
+from permitsim.blocktree import BlockIndex
 from permitsim.engine import ExecutionConfig, ProcessorSpec, run_execution
 from permitsim.experiment import (ExperimentSpec, Scenario,
                                   canonical_report_bytes, run_experiment,
@@ -57,6 +57,8 @@ from permitsim.protocols import (DensityCertificateRule, HonestStakeStrategy,
 from permitsim.resource_pool import (SIZED, UNSIZED, ConstantBalancePool,
                                      StakePool)
 from permitsim.scenarios import SCENARIOS
+
+from conftest import leaves
 
 
 class _Gate(Scenario):
@@ -405,12 +407,9 @@ class TestDensityBudgetUnderAttack:
         # still reject every batch
         scenario = SCENARIOS["stake_density_certificates"]
         params = scenario.resolve_params({"withhold_period": 120})
-        recal = scenario.plan(params)
-        secure = live = 0
-        for seed in range(60):
-            transcript = run_execution(scenario._config(params, seed, recal))
-            secure += check_security(transcript).ok
-            live += measure_liveness(transcript).satisfies(recal.ell_prime)
+        rows = run_trials(scenario, params, range(60))
+        secure = sum(r["secure"] for r in rows)
+        live = sum(bool(r["live_within_ell_prime"]) for r in rows)
         assert secure / 60 >= 1 - DENSITY_EPS
         assert live / 60 >= 1 - DENSITY_EPS
 

@@ -43,6 +43,16 @@ def synthetic_transcript(confirmations, duration, roster, adversaries=()):
 # ---------------------------------------------------------------------------
 
 
+def failures(report, ell: int) -> list[tuple[int, int, int]]:
+    """(t2, min at t2, prefix max at t2 - ell) for each violated pair."""
+    out = []
+    for t2 in range(ell + 1, report.duration + 1):
+        ceiling = report.prefix_max_len[t2 - ell - 1]
+        if report.min_len[t2 - 1] <= ceiling:
+            out.append((t2, report.min_len[t2 - 1], ceiling))
+    return out
+
+
 def brute_minimal_ell(min_len, prefix_max):
     duration = len(min_len)
     for ell in range(duration + 1):
@@ -94,7 +104,7 @@ class TestLiveness:
                (9, "p", "b3", 3), (9, "q", "b3", 3)]
         report = measure_liveness(synthetic_transcript(pts, 10, ("p", "q")))
         assert report.minimal_uniform_ell == 7
-        assert report.failures(6) and not report.failures(7)
+        assert failures(report, 6) and not failures(report, 7)
 
     def test_flat_series_never_satisfies(self):
         report = measure_liveness(synthetic_transcript([], 12, ("p",)))
@@ -150,8 +160,8 @@ class TestLiveness:
     def test_real_run_is_live(self):
         report = measure_liveness(run_execution(work_config(duration=300)))
         assert 0 < report.minimal_uniform_ell < 300
-        assert report.failures(report.minimal_uniform_ell) == []
-        assert report.failures(report.minimal_uniform_ell - 1)
+        assert failures(report, report.minimal_uniform_ell) == []
+        assert failures(report, report.minimal_uniform_ell - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permitsim.blocktree import (BlockIndex, BlockSetView, compatible,
-                                 complete_in, leaves,
-                                 longest_chain_tip)
+                                 complete_in, longest_chain_tip)
 from permitsim.errors import DanglingBlockError
 from permitsim.messages import (PAYLOAD, Message, PublicKey, genesis_block,
                                 make_block)
 
-from conftest import block_ids, build_chain
+from conftest import block_ids, build_chain, leaves
 
 P = PublicKey("p", 0)
 Q = PublicKey("q", 0)

@@ -20,6 +20,8 @@ from permitsim.engine import TRANSCRIPT_FORMAT, Transcript
 from permitsim.messages import (BLOCK, CANONICAL_JSON, PAYLOAD, Message,
                                 PublicKey, genesis_block)
 
+from conftest import transcript_lines
+
 ODD = st.sampled_from(['"', "\\", "/", "\x00", "\n", "\x1f", "\x7f", "é",
                        " ", "\ud800", "\udfff", "\U0001F600", "a"])
 TEXT = st.text(alphabet=st.one_of(ODD, st.characters()), max_size=8)
@@ -119,7 +121,7 @@ def transcripts(draw):
 @settings(deadline=None, max_examples=100)
 @given(transcripts())
 def test_record_lines_match_the_encoder(t):
-    assert t.to_lines() == encoder_lines(t)
+    assert transcript_lines(t) == encoder_lines(t)
 
 
 @settings(deadline=None, max_examples=100)
@@ -128,4 +130,4 @@ def test_record_lines_match_the_encoder_across_windows(t, window_slots):
     # the drawn slots span a few windows this small, so records of one
     # kind fall out of order across window boundaries
     with mock.patch.object(engine, "WINDOW_SLOTS", window_slots):
-        assert t.to_lines() == encoder_lines(t)
+        assert transcript_lines(t) == encoder_lines(t)

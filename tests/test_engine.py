@@ -18,7 +18,8 @@ from permitsim.protocols import (HonestStakeStrategy, HonestWorkStrategy,
 from permitsim.resource_pool import SIZED, ConstantBalancePool, ScriptedPool
 from permitsim.scenarios import SCENARIOS
 
-from conftest import StandingStaker, stake_config, work_config
+from conftest import (StandingStaker, stake_config, transcript_lines,
+                      work_config)
 
 
 class TestDeterminism:
@@ -50,7 +51,7 @@ class TestDeterminism:
          + ls[-1:], r"line 2: block parent \w+ is not broadcast before it"),
     ])
     def test_malformed_lines_are_refused(self, cut, problem):
-        lines = run_execution(work_config(duration=80)).to_lines()
+        lines = transcript_lines(run_execution(work_config(duration=80)))
         with pytest.raises(TranscriptFormatError, match=problem):
             Transcript.from_lines(cut(lines))
 

@@ -257,6 +257,7 @@ def _certifiable_exhaustive(msg_ids, rule, index: BlockIndex) -> set[str]:
 
 
 def _keep_earliest(firsts: dict, key, slot: int) -> None:
+    """Record ``slot`` for ``key`` unless an earlier slot is recorded."""
     if firsts.get(key, slot) >= slot:
         firsts[key] = slot
 
@@ -336,7 +337,9 @@ def verify_transcript_invariants(transcript: Transcript) -> list[str]:
             signer = msg.signer.label() if msg.signer else ""
             granted = min(granted,
                           leader_at.get((sender, signer, msg.timestamp), slot))
-        if held_at.get(pair, slot + 1) > slot and granted >= slot:
+        # held: delivered to the sender, or sent by it, by this slot
+        held = held_at.get(pair, slot + 1) <= slot
+        if not held and granted >= slot:
             problems.append(
                 f"{sender} broadcast unpermitted message {mid[:12]} at {slot}")
         _keep_earliest(held_at, pair, slot)

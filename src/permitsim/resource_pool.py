@@ -251,8 +251,9 @@ class ScriptedPool(ResourcePool):
         return {
             "family": type(self).__name__,
             "mode": self.mode,
-            "segments": [[start, {k.label(): str(v) for k, v in sorted(bal.items())}]
-                         for start, bal in self._segments],
+            "segments": [
+                [start, {k.label(): str(v) for k, v in sorted(bal.items())}]
+                for start, bal in self._segments],
         }
 
 

@@ -17,7 +17,7 @@ from .analysis import (CertificateRecalibration, EllTable, LivenessReport,
                        recalibrate_union_bound, sublinear_overhead_threshold,
                        verify_transcript_invariants, wilson_interval)
 from .blocktree import BlockIndex, BlockSetView
-from .engine import (ExecutionConfig, ProcessorSpec, Transcript,
+from .engine import (ExecutionConfig, Grant, ProcessorSpec, Transcript,
                      run_execution)
 from .errors import (ConfigError, DanglingBlockError, ExecutionFault,
                      LedgerTooLargeError, ScheduleViolationError,

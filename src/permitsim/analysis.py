@@ -172,24 +172,26 @@ def check_security(transcript: Transcript,
             violations.append(ViolationRecord(
                 "incompatible_confirmations", sa, pa, a, sb, pb, b))
 
-    # same-slot agreement: reconstruct per-slot tips only when needed
+    # same-slot agreement, only when needed: tips move only at change
+    # points, in slot order, so check each slot's last one
     same_slot_ok = True
     if not uniform_ok:
-        series = {p: transcript.confirmed_series(p) for p in processors}
-        for t in range(transcript.duration):
-            tips = [(p, series[p][t][0]) for p in processors
-                    if series[p][t][0] is not None]
-            for i in range(len(tips)):
-                for j in range(i + 1, len(tips)):
-                    if not compatible(tips[i][1], tips[j][1], index):
-                        same_slot_ok = False
-                        violations.append(ViolationRecord(
-                            "same_slot_disagreement", t + 1, tips[i][0],
-                            tips[i][1], t + 1, tips[j][0], tips[j][1]))
-                        break
-                if not same_slot_ok:
-                    break
-            if not same_slot_ok:
+        tips = dict.fromkeys(processors)
+        changes = [(slot, proc, tip)
+                   for slot, proc, tip, _ln in transcript.confirmations
+                   if proc in tips and slot <= transcript.duration]
+        for n, (slot, proc, tip) in enumerate(changes):
+            tips[proc] = tip
+            if n + 1 < len(changes) and changes[n + 1][0] == slot:
+                continue
+            held = [(p, tips[p]) for p in processors if tips[p] is not None]
+            clash = next(((a, b) for i, a in enumerate(held) for b in held[i + 1:]
+                          if not compatible(a[1], b[1], index)), None)
+            if clash is not None:
+                same_slot_ok = False
+                (pa, ta), (pb, tb) = clash
+                violations.append(ViolationRecord(
+                    "same_slot_disagreement", slot, pa, ta, slot, pb, tb))
                 break
 
     return SecurityReport(per_processor_ok=per_processor_ok,
@@ -278,7 +280,7 @@ def verify_transcript_invariants(transcript: Transcript) -> list[str]:
     for kind, slots in (
             ("broadcast", [s for s, _, _ in transcript.broadcasts]),
             ("delivery", [s for s, _, _ in transcript.deliveries]),
-            ("grant", [g["slot"] for g in transcript.grants]),
+            ("grant", [g.slot for g in transcript.grants]),
             ("confirm", [s for s, _, _, _ in transcript.confirmations])):
         outside = [s for s in slots if not 1 <= s <= duration]
         if outside:
@@ -293,8 +295,8 @@ def verify_transcript_invariants(transcript: Transcript) -> list[str]:
 
     # parents precede children on the wire
     for mid, bslot in first_broadcast.items():
-        msg = store[mid]
-        if msg.is_block:
+        msg = store.get(mid)
+        if msg is not None and msg.is_block:
             parent = msg.parent
             if parent != genesis_id and first_broadcast.get(parent, 10**9) > bslot:
                 problems.append(
@@ -318,25 +320,25 @@ def verify_transcript_invariants(transcript: Transcript) -> list[str]:
     # permission soundness: every broadcast is covered.  Each map holds
     # the earliest grant, the one any later broadcast may rely on.
     granted_at: dict[tuple[str, str], int] = {}  # (proc, message)
-    leader_at: dict[tuple[str, str, int], int] = {}  # (proc, key, slot)
+    leader_at: dict[tuple, int] = {}  # (proc, key, slot)
     for g in transcript.grants:
-        for mid in g["granted"]:
-            _keep_earliest(granted_at, (g["proc"], mid), g["slot"])
-        if g.get("leader_slot") is not None:
-            _keep_earliest(leader_at, (g["proc"], f'{g["key"][0]}/{g["key"][1]}',
-                                       g["leader_slot"]), g["slot"])
+        for mid in g.granted:
+            _keep_earliest(granted_at, (g.proc, mid), g.slot)
+        if g.leader_slot is not None:
+            _keep_earliest(leader_at, (g.proc, g.key, g.leader_slot), g.slot)
     held_at: dict[tuple[str, str], int] = {}  # (proc, message) it holds
     for slot, receiver, mid in transcript.deliveries:
         _keep_earliest(held_at, (receiver, mid), slot)
 
     for slot, sender, mid in transcript.broadcasts:
-        msg = store[mid]
+        msg = store.get(mid)
+        if msg is None:
+            continue
         pair = (sender, mid)
         granted = granted_at.get(pair, slot)
         if msg.is_block and msg.timestamp is not None:
-            signer = msg.signer.label() if msg.signer else ""
-            granted = min(granted,
-                          leader_at.get((sender, signer, msg.timestamp), slot))
+            granted = min(granted, leader_at.get(
+                (sender, msg.signer, msg.timestamp), slot))
         # held: delivered to the sender, or sent by it, by this slot
         held = held_at.get(pair, slot + 1) <= slot
         if not held and granted >= slot:

@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
+from typing import NamedTuple
 
 from .blocktree import BlockIndex, BlockSetView
 from .errors import (ConfigError, DanglingBlockError, ExecutionFault,
@@ -138,9 +139,23 @@ class ExecutionConfig:
                 )
 
 
+class Grant(NamedTuple):
+    """One grant: at ``slot``, ``proc``'s request under ``key`` won the
+    sorted message ids ``granted`` or the slot ``leader_slot``."""
+
+    slot: int
+    proc: str
+    key: PublicKey
+    granted: tuple[str, ...]
+    leader_slot: int | None
+    m_digest: int
+    candidate: str | None
+
+
 @dataclass
 class Transcript:
-    """Deterministic record of one execution."""
+    """Deterministic record of one execution, held as flat tuples, each
+    with its slot first; JSON shapes live only in the saved lines."""
 
     label: str
     seed: int
@@ -150,7 +165,7 @@ class Transcript:
     store: dict[str, Message]
     broadcasts: list[tuple[int, str, str]] = field(default_factory=list)
     deliveries: list[tuple[int, str, str]] = field(default_factory=list)
-    grants: list[dict] = field(default_factory=list)
+    grants: list[Grant] = field(default_factory=list)
     confirmations: list[tuple[int, str, str | None, int]] = field(default_factory=list)
     duration: int = 0
     roster_ids: tuple[str, ...] = ()
@@ -158,18 +173,11 @@ class Transcript:
 
     # -- queries ------------------------------------------------------------
 
-    def confirmed_series(self, proc: str) -> list[tuple[str | None, int]]:
-        """Per-slot (confirmed tip, confirmed length), slots 1..duration."""
-        out: list[tuple[str | None, int]] = []
-        current: tuple[str | None, int] = (None, 0)
-        points = [(s, tip, ln) for s, p, tip, ln in self.confirmations if p == proc]
-        pi = 0
-        for slot in range(1, self.duration + 1):
-            while pi < len(points) and points[pi][0] == slot:
-                current = (points[pi][1], points[pi][2])
-                pi += 1
-            out.append(current)
-        return out
+    def last_confirmed(self, proc: str) -> tuple[str | None, int]:
+        """``proc``'s last (confirmed tip, confirmed length); (None, 0)
+        when it never confirmed."""
+        return next(((tip, ln) for _, p, tip, ln in reversed(self.confirmations)
+                     if p == proc), (None, 0))
 
     def delivery_map(self) -> dict[tuple[str, str], int]:
         """(receiver, msg_id) -> earliest slot the receiver held the message:
@@ -199,7 +207,7 @@ class Transcript:
                                   f'"proc":{q(proc)},"slot":{slot},'
                                   f'"type":"broadcast"}}\n')
                    for slot, proc, mid in broadcasts]
-        events += [(4 * g["slot"] + 2, _grant_line(g)) for g in grants]
+        events += [(4 * g.slot + 2, _grant_line(g)) for g in grants]
         events += [(4 * slot + 3, f'{{"len":{ln},"proc":{q(proc)},"slot":{slot},'
                                   f'"tip":{"null" if tip is None else q(tip)},'
                                   f'"type":"confirm"}}\n')
@@ -229,16 +237,15 @@ class Transcript:
             "seed": self.seed, "duration": self.duration, "config": self.header,
             "roster": list(self.roster_ids),
             "adversaries": list(self.adversary_ids)}) + "\n").encode()
-        slot, grant_slot = itemgetter(0), itemgetter("slot")
-        kinds = [(sorted(recs, key=key), key) for recs, key in (
-            (self.deliveries, slot), (self.broadcasts, slot),
-            (self.grants, grant_slot), (self.confirmations, slot))]
-        ends = [key(r) for recs, key in kinds if recs for r in (recs[0], recs[-1])]
+        slot = itemgetter(0)
+        kinds = [sorted(recs, key=slot) for recs in (
+            self.deliveries, self.broadcasts, self.grants, self.confirmations)]
+        ends = [r[0] for recs in kinds if recs for r in (recs[0], recs[-1])]
         cuts = [0] * len(kinds)
         for lo in range(min(ends, default=1), max(ends, default=0) + 1, WINDOW_SLOTS):
-            stops = [bisect_left(recs, lo + WINDOW_SLOTS, cut, key=key)
-                     for (recs, key), cut in zip(kinds, cuts)]
-            yield self.to_bytes([recs[a:b] for (recs, _), a, b
+            stops = [bisect_left(recs, lo + WINDOW_SLOTS, cut, key=slot)
+                     for recs, cut in zip(kinds, cuts)]
+            yield self.to_bytes([recs[a:b] for recs, a, b
                                  in zip(kinds, cuts, stops)])
             cuts = stops
         yield f'{{"broadcasts":{len(self.broadcasts)},"type":"end"}}\n'.encode()
@@ -301,8 +308,10 @@ class Transcript:
                                        _field(rec, "proc", _STR),
                                        _field(rec, "msg_id", _STR)))
                 elif kind == "grant":
-                    grants.append({name: _field(rec, name, check)
-                                   for name, check in _GRANT_FIELDS})
+                    slot, proc, key, granted, *rest = (
+                        _field(rec, name, check) for name, check in _GRANT_FIELDS)
+                    grants.append(Grant(slot, proc, PublicKey(*key),
+                                        tuple(granted), *rest))
                 elif kind == "confirm":
                     confirmations.append((_field(rec, "slot", _INT),
                                           _field(rec, "proc", _STR),
@@ -370,16 +379,15 @@ def _field(rec: dict, name: str, check):
     return value
 
 
-def _grant_line(g: dict) -> str:
+def _grant_line(g: Grant) -> str:
     q = _quote
-    owner, index = g["key"]
-    cand, lslot = g["candidate"], g["leader_slot"]
+    cand, lslot = g.candidate, g.leader_slot
     return (f'{{"candidate":{"null" if cand is None else q(cand)},'
-            f'"granted":[{",".join(map(q, g["granted"]))}],'
-            f'"key":[{q(owner)},{index}],'
+            f'"granted":[{",".join(map(q, g.granted))}],'
+            f'"key":[{q(g.key.owner)},{g.key.index}],'
             f'"leader_slot":{"null" if lslot is None else lslot},'
-            f'"m_digest":{g["m_digest"]},"proc":{q(g["proc"])},'
-            f'"slot":{g["slot"]},"type":"grant"}}\n')
+            f'"m_digest":{g.m_digest},"proc":{q(g.proc)},'
+            f'"slot":{g.slot},"type":"grant"}}\n')
 
 
 def _format_problem(exc: Exception) -> str:
@@ -403,9 +411,9 @@ class _ProcessorRuntime:
         self.tracker = tracker
         self.pending: list[PermitResponse] = []
         self.granted_ids: set[str] = set()
-        # (key, slot) -> the leader grant for it; only it can cover a block
-        # signed by that key with that timestamp
-        self.leader_grants: dict[tuple, LeaderGrant] = {}
+        # each leader grant keyed by itself, equal to its (key, slot); only
+        # it can cover a block signed by that key with that timestamp
+        self.leader_grants: dict[LeaderGrant, LeaderGrant] = {}
         # msg id -> slot held from: own broadcast, queued delivery's due slot
         self.held: dict[str, int] = {genesis.id: 0}
         self.carriers = carriers  # the execution's pair -> carrying ids
@@ -478,7 +486,7 @@ class Execution:
         self.index = BlockIndex(genesis)
         self.store: dict[str, Message] = {genesis.id: genesis}
         # (signer, body digest) -> ids of the messages carrying it
-        self.carriers: dict[tuple, list[str]] = {}
+        self.carriers: dict[tuple, tuple[str, ...]] = {}
         roster = sorted(config.processors, key=lambda p: p.id)
         self.runtimes: dict[str, _ProcessorRuntime] = {}  # roster order
         for spec in roster:
@@ -523,9 +531,8 @@ class Execution:
             for resp in responses:
                 if resp.granted:
                     rt.granted_ids.update(m.id for m in resp.granted)
-                if resp.leader is not None:
-                    lg = resp.leader
-                    rt.leader_grants[(lg.key, lg.slot)] = lg
+                if (lg := resp.leader) is not None:
+                    rt.leader_grants[lg] = lg
             ctx = rt.ctx
             if ctx is None:
                 spec = rt.spec
@@ -558,7 +565,7 @@ class Execution:
                 if msg.id not in store:
                     store[msg.id] = msg
                     for pair in (msg.pair(), *msg.embedded):
-                        carriers.setdefault(pair, []).append(msg.id)
+                        carriers[pair] = carriers.get(pair, ()) + (msg.id,)
                 transcript.broadcasts.append((slot, pid, msg.id))
                 rt.hold(msg, slot)
                 for oid, ort in runtimes.items():
@@ -603,13 +610,10 @@ class Execution:
 
     def _grant(self, slot: int, rt: _ProcessorRuntime, req, resp) -> None:
         rt.pending.append(resp)
-        self.transcript.grants.append({
-            "slot": slot, "proc": rt.spec.id, "key": req.key.to_json(),
-            "granted": sorted([m.id for m in resp.granted]),
-            "leader_slot": resp.leader.slot if resp.leader else None,
-            "m_digest": req.m_digest,
-            "candidate": req.candidate.id if req.candidate else None,
-        })
+        self.transcript.grants.append(Grant(
+            slot, rt.spec.id, req.key, tuple(sorted([m.id for m in resp.granted])),
+            resp.leader.slot if resp.leader else None, req.m_digest,
+            req.candidate.id if req.candidate else None))
 
 
 def run_execution(config: ExecutionConfig) -> Transcript:

@@ -53,8 +53,8 @@ trials of the hidden-total simulation attack, 58.3% (5,299 set-ups for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import rng
 from .blocktree import BlockSetView
@@ -80,10 +80,10 @@ class PermitRequest:
         self.candidate, self.target_slot = candidate, target_slot
 
 
-@dataclass(frozen=True)
-class LeaderGrant:
+class LeaderGrant(NamedTuple):
     """Intensional permission: any block signed by ``key`` with
-    timestamp ``slot`` (any parent) is permitted."""
+    timestamp ``slot`` (any parent) is permitted.  A tuple, so it equals
+    ``(key, slot)``."""
 
     key: PublicKey
     slot: int
@@ -96,8 +96,7 @@ class LeaderGrant:
         )
 
 
-@dataclass
-class PermitResponse:
+class PermitResponse(NamedTuple):
     """A grant answering one request, delivered next slot."""
 
     key: PublicKey

@@ -321,6 +321,8 @@ class DensityCertificateRule(ConfirmationRule):
         self.duration = int(duration)
         self._memo_index: BlockIndex | None = None
         self._memo: dict[str, tuple[int, str] | None] = {}
+        # each (window, leaf) answer once, shared by every block it admits
+        self._keys: dict[tuple[int, str], tuple[int, str]] = {}
 
     # -- grid helpers -------------------------------------------------------
 
@@ -359,9 +361,9 @@ class DensityCertificateRule(ConfirmationRule):
 
     def _memo_of(self, index: BlockIndex) -> dict:
         """``admit``'s per-id answers over ``index``; the memo of another
-        index is dropped."""
+        index is dropped, with its shared answers."""
         if self._memo_index is not index:
-            self._memo_index, self._memo = index, {}
+            self._memo_index, self._memo, self._keys = index, {}, {}
         return self._memo
 
     def _admit(self, block_id: str, index: BlockIndex) -> tuple[int, str] | None:
@@ -371,7 +373,8 @@ class DensityCertificateRule(ConfirmationRule):
         leaf = index.ancestor_at_height(block_id, i - 1)
         if index.max_timestamp_up_to_height(leaf, i - 1) >= i * self.spacing:
             return None
-        return i, leaf
+        key = (i, leaf)
+        return self._keys.setdefault(key, key)
 
     # -- confirmation -------------------------------------------------------
 

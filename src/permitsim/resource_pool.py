@@ -113,7 +113,8 @@ class ConstantBalancePool(ResourcePool):
     """Fixed balances: a constant hash-rate or stake distribution.
 
     Unsized, its realized total is a constant that protocols and the
-    permitter never read; they know only the declared bounds.
+    permitter never read; they know only the declared bounds, which must
+    hold it.
     """
 
     def __init__(self, balances: dict, *, mode: str = UNSIZED,
@@ -133,6 +134,9 @@ class ConstantBalancePool(ResourcePool):
         if mode == UNSIZED and self.bounds is None:
             raise ConfigError("unsized pools must declare total bounds")
         self._total = sum(self._balances.values(), Fraction(0))
+        if mode == UNSIZED and not a0 <= self._total <= a1:
+            raise ConfigError(f"total {self._total} lies outside the declared "
+                              f"bounds [{a0}, {a1}]")
 
     def balance_of(self, key: PublicKey, slot: int, view=None) -> Fraction:
         return self._balances.get(key, Fraction(0))

@@ -350,9 +350,8 @@ class SimulationRelease(Scenario):
         """Grant events for the given key groups, stripped of requester id."""
         out = []
         for g in transcript.grants:
-            if g["slot"] < before and g["key"][0] in owners:
-                out.append((g["slot"], tuple(g["key"]), tuple(g["granted"]),
-                            g["m_digest"], g.get("candidate")))
+            if g.slot < before and g.key.owner in owners:
+                out.append((g.slot, g.key, g.granted, g.m_digest, g.candidate))
         return out
 
     def run_trial(self, params, seed, transcript_dir=None):
@@ -465,8 +464,8 @@ class IsolatedObservers(Scenario):
             and [c for c in extended.confirmations if c[1] in roster]
             == base.confirmations)
 
-        tip_a, _ = extended.confirmed_series("watch_a")[-1]
-        tip_b, _ = extended.confirmed_series("watch_b")[-1]
+        tip_a, _ = extended.last_confirmed("watch_a")
+        tip_b, _ = extended.last_confirmed("watch_b")
         implication = (tip_a is not None and tip_b is not None
                        and not compatible(tip_a, tip_b, extended.index))
         out.update({
@@ -565,7 +564,7 @@ class StakeDensityCertificates(Scenario):
         digest = _save(transcript, transcript_dir)
         security = check_security(transcript)
         liveness = measure_liveness(transcript)
-        final_len = transcript.confirmed_series("val")[-1][1]
+        _, final_len = transcript.last_confirmed("val")
         return {
             "secure": security.ok,
             "violations": len(security.violations),

@@ -26,6 +26,21 @@ def leaves(block_ids, index: BlockIndex) -> set[str]:
     return ids - with_child
 
 
+def confirmed_series(transcript, proc: str) -> list[tuple[str | None, int]]:
+    """Per-slot (confirmed tip, confirmed length), slots 1..duration."""
+    out: list[tuple[str | None, int]] = []
+    current: tuple[str | None, int] = (None, 0)
+    points = [(s, tip, ln) for s, p, tip, ln in transcript.confirmations
+              if p == proc]
+    pi = 0
+    for slot in range(1, transcript.duration + 1):
+        while pi < len(points) and points[pi][0] == slot:
+            current = (points[pi][1], points[pi][2])
+            pi += 1
+        out.append(current)
+    return out
+
+
 def transcript_lines(transcript) -> list[str]:
     """A transcript's records, one line of text each."""
     return transcript.to_bytes().decode().split("\n")[:-1]

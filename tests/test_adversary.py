@@ -20,7 +20,7 @@ from permitsim.protocols import (HonestStakeStrategy, HonestWorkStrategy,
 from permitsim.resource_pool import (SIZED, UNSIZED, ConstantBalancePool,
                                      StakePool)
 
-from conftest import stake_config, work_config
+from conftest import confirmed_series, stake_config, work_config
 
 
 def fork_config(*, duration=1200, q=Fraction(1, 3), confirm_k=2, seed=11,
@@ -71,7 +71,7 @@ class TestPrivateFork:
         attacker = made[-1]
         sent = [mid for _, proc, mid in transcript.broadcasts
                 if proc == "adv"]
-        granted = [g for g in transcript.grants if g["proc"] == "adv"]
+        granted = [g for g in transcript.grants if g.proc == "adv"]
         assert attacker.rounds > attacker.releases
         assert len(sent) <= len(granted)
 
@@ -177,12 +177,11 @@ def sim_pair(*, duration=700, rate=Fraction(1, 12), confirm_k=2, seed=21,
 def grant_trace(transcript, procs, before=None):
     out = []
     for g in transcript.grants:
-        if g["proc"] not in procs:
+        if g.proc not in procs:
             continue
-        if before is not None and g["slot"] > before:
+        if before is not None and g.slot > before:
             continue
-        out.append((g["slot"], tuple(g["key"]), tuple(g["granted"]),
-                    g["m_digest"], g["candidate"]))
+        out.append((g.slot, g.key, g.granted, g.m_digest, g.candidate))
     return out
 
 
@@ -287,7 +286,7 @@ class TestSimulationAttack:
         transcript = run_execution(attacked_cfg)
         assert made[-1].released_at == 300
         after = [g for g in transcript.grants
-                 if g["proc"] == "omega" and g["slot"] > 300]
+                 if g.proc == "omega" and g.slot > 300]
         assert after == []  # a released attacker goes quiet
 
     def test_the_private_world_obeys_the_model(self):
@@ -415,7 +414,7 @@ class TestIsolatedObservers:
         # each observer locks onto its side of the violation
         tips = {}
         for proc in ("watch_a", "watch_b"):
-            series = extended.confirmed_series(proc)
+            series = confirmed_series(extended, proc)
             tips[proc] = series[-1][0]
         assert tips["watch_a"] == viol.tip_a
         assert tips["watch_b"] == viol.tip_b

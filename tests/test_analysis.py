@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permitsim.analysis import (EllTable, LedgerTooLargeError,
+from permitsim.analysis import (EllTable, LedgerTooLargeError, ViolationRecord,
                                 build_certificate_recalibration,
                                 certifiable_blocks, check_security,
                                 measure_liveness, recalibrate_union_bound,
                                 sublinear_overhead_threshold,
                                 verify_transcript_invariants, wilson_interval)
-from permitsim.blocktree import BlockIndex
+from permitsim.blocktree import BlockIndex, compatible
 from permitsim.engine import Transcript, run_execution
 from permitsim.errors import ConfigError, SettingMismatchError
 from permitsim.messages import PublicKey, genesis_block, make_block
@@ -23,7 +23,7 @@ from permitsim.protocols import (DensityCertificateRule, KDeepRule,
                                  ProductionProfile, Strategy)
 from permitsim.resource_pool import ConstantBalancePool, StakePool
 
-from conftest import build_chain, work_config
+from conftest import build_chain, confirmed_series, work_config
 
 P = PublicKey("p", 0)
 Q = PublicKey("q", 0)
@@ -230,6 +230,53 @@ class TestCheckSecurity:
                                    (6, "q", a2.id, 3)], ("p", "q"))
         assert check_security(t).ok
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_slot_agreement_matches_the_per_slot_definition(self, data):
+        """Change points in slot order, several per slot, tips on two
+        forks, and watched ids that repeat or never confirm."""
+        g = genesis_block(timed=False)
+        index = BlockIndex(g)
+        blocks = [make_block(P, g.id, payload="a1"),
+                  make_block(Q, g.id, payload="b1")]
+        blocks += [make_block(P, blocks[0].id, payload="a2"),
+                   make_block(Q, blocks[1].id, payload="b2")]
+        for blk in blocks:
+            index.add(blk)
+        duration = data.draw(st.integers(0, 24))
+        roster = ("p", "q", "r")
+        slots = sorted(data.draw(st.lists(st.integers(1, max(duration, 1)),
+                                          max_size=30))) if duration else []
+        tips = st.sampled_from([None, g.id] + [b.id for b in blocks])
+        pts = [(slot, data.draw(st.sampled_from(roster)), data.draw(tips),
+                data.draw(st.integers(0, 3))) for slot in slots]
+        watched = data.draw(st.lists(st.sampled_from(roster + ("ghost",)),
+                                     min_size=1, max_size=6))
+        t = Transcript(label="s", seed=0, header={}, genesis=g, index=index,
+                       store={g.id: g}, confirmations=pts, duration=duration,
+                       roster_ids=roster)
+        report = check_security(t, watched)
+        expect = per_slot_disagreement(t, watched)
+        assert report.same_slot_ok == (expect is None)
+        assert [v for v in report.violations
+                if v.kind == "same_slot_disagreement"] == (
+                    [] if expect is None else [expect])
+
+
+def per_slot_disagreement(t, processors):
+    """The first same-slot disagreement, slot by slot over every pair of
+    confirmed tips, or None."""
+    series = {p: confirmed_series(t, p) for p in processors}
+    for slot in range(1, t.duration + 1):
+        tips = [(p, series[p][slot - 1][0]) for p in processors
+                if series[p][slot - 1][0] is not None]
+        for i, (pa, ta) in enumerate(tips):
+            for pb, tb in tips[i + 1:]:
+                if not compatible(ta, tb, t.index):
+                    return ViolationRecord("same_slot_disagreement",
+                                           slot, pa, ta, slot, pb, tb)
+    return None
+
 
 # ---------------------------------------------------------------------------
 # certificates: structured vs exhaustive
@@ -345,6 +392,14 @@ class TestInvariants:
         assert any("never-broadcast" in p
                    for p in verify_transcript_invariants(t))
 
+    def test_a_broadcast_of_an_unknown_message_is_reported(self):
+        t = run_execution(work_config(duration=40))
+        t.broadcasts.append((10, t.roster_ids[0], "f" * 64))
+        problems = verify_transcript_invariants(t)
+        assert f"broadcast of unknown message {'f' * 64} at slot 10" in problems
+        assert not any("unpermitted" in p or "before its parent" in p
+                       for p in problems)
+
     def test_missing_grant_unmasks_the_broadcast(self):
         t = self.fresh()
         del t.grants[0]
@@ -355,7 +410,7 @@ class TestInvariants:
         config.processors[0].strategy = _AskedAgainAfterBroadcast
         t = run_execution(config)
         [(sent, _proc, mid)] = t.broadcasts
-        granted = [g["slot"] for g in t.grants if mid in g["granted"]]
+        granted = [g.slot for g in t.grants if mid in g.granted]
         assert min(granted) < sent < max(granted)
         assert verify_transcript_invariants(t) == []
 
@@ -540,7 +595,7 @@ class TestCertificateRecalibration:
         assert plan.eps_prime == 0.05
 
     def test_unsized_pool_is_rejected(self):
-        pool = ConstantBalancePool({"p": 1}, bounds=(2, 6))
+        pool = ConstantBalancePool({"p": 2}, bounds=(2, 6))
         with pytest.raises(SettingMismatchError):
             build_certificate_recalibration(
                 0.2, 1.5, ProductionProfile(rate=1.0), 2000, 12, pool=pool)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from permitsim import engine
 from permitsim.blocktree import BlockIndex
-from permitsim.engine import TRANSCRIPT_FORMAT, Transcript
+from permitsim.engine import TRANSCRIPT_FORMAT, Grant, Transcript
 from permitsim.messages import (BLOCK, CANONICAL_JSON, PAYLOAD, Message,
                                 PublicKey, genesis_block)
 
@@ -83,7 +83,7 @@ def encoder_lines(t: Transcript) -> list[str]:
                                     "proc": proc,
                                     "msg": t.store[mid].to_json()}))
     for n, g in enumerate(t.grants):
-        events.append((g["slot"], 2, n, {"type": "grant", **g}))
+        events.append((g.slot, 2, n, {"type": "grant", **g._asdict()}))
     for n, (slot, proc, tip, ln) in enumerate(t.confirmations):
         events.append((slot, 3, n, {"type": "confirm", "slot": slot,
                                     "proc": proc, "tip": tip, "len": ln}))
@@ -93,11 +93,10 @@ def encoder_lines(t: Transcript) -> list[str]:
     return lines
 
 
-GRANT = st.fixed_dictionaries({
-    "slot": SLOT, "proc": TEXT,
-    "key": KEY.map(list), "granted": st.lists(TEXT, max_size=3),
-    "leader_slot": st.none() | SLOT, "m_digest": BIG,
-    "candidate": st.none() | TEXT})
+GRANT = st.builds(
+    Grant, slot=SLOT, proc=TEXT, key=KEY,
+    granted=st.lists(TEXT, max_size=3).map(tuple),
+    leader_slot=st.none() | SLOT, m_digest=BIG, candidate=st.none() | TEXT)
 
 
 @st.composite

@@ -6,7 +6,7 @@ import pytest
 
 from permitsim.analysis import verify_transcript_invariants
 from permitsim.blocktree import BlockIndex
-from permitsim.engine import (Execution, ExecutionConfig, ProcessorSpec,
+from permitsim.engine import (Execution, ExecutionConfig, Grant, ProcessorSpec,
                               Transcript, run_execution)
 from permitsim.errors import (ConfigError, ExecutionFault,
                              TranscriptFormatError)
@@ -18,8 +18,9 @@ from permitsim.protocols import (HonestStakeStrategy, HonestWorkStrategy,
 from permitsim.resource_pool import SIZED, ConstantBalancePool, ScriptedPool
 from permitsim.scenarios import SCENARIOS
 
-from conftest import (StandingStaker, stake_config, transcript_lines,
-                      work_config)
+from conftest import (StandingStaker, confirmed_series, stake_config,
+                      transcript_lines, work_config)
+from test_transcript_digests import CONFIGS
 
 
 class TestDeterminism:
@@ -68,7 +69,7 @@ class TestDeterminism:
                                         strategy=HonestStakeStrategy)
                           for p in cfg.processors]
         t = run_execution(cfg)
-        assert any(g["slot"] > 10 for g in t.grants)
+        assert any(g.slot > 10 for g in t.grants)
         assert any(slot > 10 for slot, _, _ in t.broadcasts)
 
 
@@ -96,18 +97,22 @@ class TestTranscriptQueries:
 
     def test_confirmed_series_is_per_slot(self, transcript):
         for proc in transcript.roster_ids:
-            series = transcript.confirmed_series(proc)
+            series = confirmed_series(transcript, proc)
             assert len(series) == transcript.duration
             lengths = [n for _, n in series]
             assert lengths == sorted(lengths)  # honest run never rolls back
+            assert transcript.last_confirmed(proc) == series[-1]
+        assert transcript.last_confirmed("nobody") == (None, 0)
 
     def test_grants_carry_the_request_shape(self, transcript):
         assert transcript.grants, "a 200-slot run at rate 1/10 grants blocks"
         for g in transcript.grants:
-            assert set(g) == {"slot", "proc", "key", "granted", "leader_slot",
-                              "m_digest", "candidate"}
-            assert g["granted"] and g["leader_slot"] is None
-            assert g["candidate"] in g["granted"]
+            assert type(g) is Grant and g._fields == (
+                "slot", "proc", "key", "granted", "leader_slot", "m_digest",
+                "candidate")
+            assert type(g.key) is PublicKey and type(g.granted) is tuple
+            assert g.granted and g.leader_slot is None
+            assert g.candidate in g.granted
 
     def test_delivery_map_keeps_first_arrival(self, transcript):
         first: dict[tuple[str, str], int] = {}
@@ -116,6 +121,38 @@ class TestTranscriptQueries:
         dm = transcript.delivery_map()
         for pair, slot in first.items():
             assert dm[pair] == slot
+
+
+@pytest.mark.parametrize("build", CONFIGS, ids=lambda b: b.__name__)
+def test_the_loader_builds_the_engines_grant_records(build):
+    t = run_execution(build())
+    loaded = Transcript.from_lines(t.to_bytes().decode().splitlines())
+    assert loaded.grants == t.grants
+    assert ([tuple(map(type, g)) for g in loaded.grants]
+            == [tuple(map(type, g)) for g in t.grants])
+
+
+def test_a_runs_records_are_flat_tuples(monkeypatch):
+    """Grant records, permit responses and leader grants carry no
+    per-instance dict, and a pair's carriers are a tuple of ids."""
+    runs, responses = [], []
+    grant = Execution._grant
+
+    def recording(self, slot, rt, req, resp):
+        runs.append(self)
+        responses.append(resp)
+        grant(self, slot, rt, req, resp)
+
+    monkeypatch.setattr(Execution, "_grant", recording)
+    t = run_execution(stake_config())
+    run = runs[0]
+    assert all(r is run for r in runs)
+    leader_grants = [lg for rt in run.runtimes.values()
+                     for lg in rt.leader_grants.values()]
+    assert t.grants and leader_grants and run.carriers
+    for record in (*t.grants, *responses, *leader_grants):
+        assert isinstance(record, tuple) and not hasattr(record, "__dict__")
+    assert all(type(ids) is tuple for ids in run.carriers.values())
 
 
 class TestConfigValidation:
@@ -440,16 +477,16 @@ class TestObservers:
     def test_keyless_observer_tracks_the_chain(self):
         watcher = ProcessorSpec(id="watch", keys=(), strategy=ObserverStrategy)
         t = run_execution(work_config(duration=150, extra_specs=(watcher,)))
-        series = t.confirmed_series("watch")
+        series = confirmed_series(t, "watch")
         assert series[-1][1] > 1
         # the observer only ever listens
         assert all(proc != "watch" for _, proc, _ in t.broadcasts)
-        assert all(g["proc"] != "watch" for g in t.grants)
+        assert all(g.proc != "watch" for g in t.grants)
 
     def test_observer_lags_producers_by_the_delay(self):
         watcher = ProcessorSpec(id="watch", keys=(), strategy=ObserverStrategy)
         t = run_execution(work_config(duration=150, extra_specs=(watcher,)))
-        final = {p: t.confirmed_series(p)[-1][1] for p in t.roster_ids}
+        final = {p: confirmed_series(t, p)[-1][1] for p in t.roster_ids}
         assert max(final.values()) - final["watch"] <= 1
 
     def test_relayed_messages_keep_their_delivery_slot(self):
@@ -593,9 +630,8 @@ def test_each_step_sees_its_own_slot(build, base):
         if base.standing:
             assert len(slots) < cfg.duration  # some slots were not stepped
         for slot in slots:
-            grants = [(tuple(g["key"]), g["leader_slot"], sorted(g["granted"]))
-                      for g in t.grants if g["slot"] == slot - 1
-                      and g["proc"] == pid]
+            grants = [(g.key, g.leader_slot, sorted(g.granted))
+                      for g in t.grants if g.slot == slot - 1 and g.proc == pid]
             delivered = [mid for s, proc, mid in t.deliveries
                          if s == slot and proc == pid]
             seen = [(hook, r, d) for hook, s, r, d in strategy.seen

@@ -109,7 +109,8 @@ class TestWorkPermitter:
         """Hidden-total law: the response is a function of the reference
         scale, never of the realized balance sum."""
         view, genesis = fresh_view()
-        small = ConstantBalancePool({KEY: 2}, mode=UNSIZED, bounds=(3, 9))
+        small = ConstantBalancePool({KEY: 2, OTHER: 1}, mode=UNSIZED,
+                                    bounds=(3, 9))
         large = ConstantBalancePool({KEY: 2, OTHER: 7}, mode=UNSIZED,
                                     bounds=(3, 9))
         permitter = WorkPermitter(Fraction(1, 4), reference_scale=3)

@@ -46,6 +46,17 @@ def test_bounds_must_be_ordered_and_positive():
         ConstantBalancePool({A: 1}, mode=UNSIZED, bounds=(3, 2))
 
 
+def test_an_unsized_total_lies_inside_its_bounds():
+    # the bounds are all that protocols know of the hidden total
+    with pytest.raises(ConfigError, match="outside the declared bounds"):
+        ConstantBalancePool({A: 1}, mode=UNSIZED, bounds=(2, 6))
+    with pytest.raises(ConfigError, match="outside the declared bounds"):
+        ConstantBalancePool({A: 4, B: 3}, mode=UNSIZED, bounds=(2, 6))
+    for balances in ({A: 2}, {A: 4, B: 2}):  # either end holds
+        assert ConstantBalancePool(balances, mode=UNSIZED,
+                                   bounds=(2, 6)).bounds == (2, 6)
+
+
 class TestQBound:
     def test_exact_boundary_counts_as_bounded(self):
         pool = ConstantBalancePool({A: 1, B: 3}, mode=SIZED)

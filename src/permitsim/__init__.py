@@ -30,10 +30,9 @@ from .network import (PerEdgeRandomRule, SynchronySchedule, UniformDelayRule,
 from .permitter import (LeaderGrant, PermitRequest, PermitResponse,
                         StakePermitter, WorkPermitter)
 from .protocols import (ConfirmationRule, DensityCertificateRule,
-                        DensityWitness, HonestStakeStrategy,
-                        HonestWorkStrategy, KDeepRule, ObserverStrategy,
-                        ProductionProfile, StepContext, Strategy,
-                        density_threshold, interval_length_r)
+                        HonestStakeStrategy, HonestWorkStrategy, KDeepRule,
+                        ObserverStrategy, ProductionProfile, StepContext,
+                        Strategy, density_threshold, interval_length_r)
 from .resource_pool import (ConstantBalancePool, ScriptedPool, StakePool,
                             dominates, is_q_bounded)
 from .scenarios import SCENARIOS, get_scenario

@@ -32,11 +32,10 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .blocktree import BlockSetView
-from .engine import Execution, ExecutionConfig, ProcessorSpec
+from .engine import Execution, ExecutionConfig, ProcessorSpec, check_roster
 from .errors import ConfigError
 from .messages import Message, make_block
-from .network import (CustomTableRule, SynchronySchedule, TimingRule,
-                      build_timing_rule)
+from .network import SynchronySchedule, TimingRule
 from .permitter import PermitRequest
 from .protocols import (Candidates, KDeepRule, LeaderSlots, ObserverStrategy,
                         StepContext, Strategy)
@@ -233,8 +232,7 @@ class SimulationAttackerStrategy(Strategy):
             raise ConfigError(f"unknown release policy {release!r}")
         if not isinstance(release, str) and int(release) < 1:
             raise ConfigError("fixed release slot must be at least 1")
-        if not inner_processors:
-            raise ConfigError("the simulated roster is empty")
+        check_roster(inner_processors)
         if confirm_k < 0:
             raise ConfigError("confirmation depth cannot be negative")
         self.confirm_k = int(confirm_k)
@@ -242,17 +240,7 @@ class SimulationAttackerStrategy(Strategy):
         self.release = release
         self._rule = inner_timing
         self._specs = sorted(inner_processors, key=lambda s: s.id)
-        ids = [s.id for s in self._specs]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("simulated processor ids must be unique")
-        self._key_home: dict[str, str] = {}
-        for spec in self._specs:
-            for key in spec.keys:
-                home = self._key_home.setdefault(key.owner, spec.id)
-                if home != spec.id:
-                    raise ConfigError(
-                        f"key group {key.owner!r} is split across simulated "
-                        f"processors {home!r} and {spec.id!r}")
+        self._key_home = {g: s.id for s in self._specs for g in s.groups}
         self._inner: Execution | None = None
         self._recorder: _RequestRecorder | None = None
         self._released = False
@@ -263,7 +251,7 @@ class SimulationAttackerStrategy(Strategy):
         config = ExecutionConfig(
             delta=ctx.delta, epsilon=ctx.epsilon,
             schedule=SynchronySchedule.fully_synchronous(ctx.duration),
-            timing=self._rule,
+            timing=None,  # Execution is handed the rule itself
             pool=None,  # the recorder reads no balances
             permitter=self._recorder,
             confirmation=KDeepRule(self.confirm_k),
@@ -343,21 +331,12 @@ def build_isolated_observer_instance(base_config: ExecutionConfig,
     synchrony window ever applies.
     """
     duration = base_config.duration
-    schedule = SynchronySchedule.fully_asynchronous(duration)
-    if isinstance(base_config.timing, TimingRule):
-        base_rule = base_config.timing
-    else:
-        base_rule = build_timing_rule(
-            dict(base_config.timing), schedule=schedule,
-            delta=base_config.delta, seed=base_config.seed,
-            roster_ids=[p.id for p in base_config.processors])
-
     known = set(base_transcript.store)
     first_sent: dict[str, int] = {}
     for slot, _sender, mid in base_transcript.broadcasts:
         first_sent.setdefault(mid, slot)
     taken = {p.id for p in base_config.processors}
-    entries: dict[tuple[str, str], int | None] = {}
+    entries: list[dict] = []
     observers: list[ProcessorSpec] = []
     for obs_id, msg_ids, deliver_slot in arms:
         if obs_id in taken:
@@ -375,13 +354,15 @@ def build_isolated_observer_instance(base_config: ExecutionConfig,
                     f"message {mid!r} is broadcast at slot {sent}, too late "
                     f"to reach an observer at slot {deliver_slot}")
             if sent is not None:
-                entries[(obs_id, mid)] = deliver_slot
+                entries.append({"receiver": obs_id, "msg_id": mid,
+                                "slot": deliver_slot})
 
-    rule = CustomTableRule(base_rule, entries, {o.id for o in observers})
     return replace(
         base_config,
-        schedule=schedule,
-        timing=rule,
+        schedule=SynchronySchedule.fully_asynchronous(duration),
+        timing={"policy": "custom", "base": base_config.timing,
+                "entries": entries,
+                "isolated_receivers": [o.id for o in observers]},
         processors=[*base_config.processors, *observers],
         label=f"{base_config.label}+observers",
     )

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import pairwise
 from statistics import NormalDist
 
 from .blocktree import BlockIndex, compatible, complete_in
@@ -232,8 +233,8 @@ def _certifiable_structured(msg_ids, rule, index: BlockIndex) -> set[str]:
         return certified
     if isinstance(rule, DensityCertificateRule):
         certified = set()
-        for w in rule.find_witnesses(present, index):
-            certified.update(index.ancestry(w.leaf))
+        for _, leaf in rule.find_witnesses(present, index):
+            certified.update(index.ancestry(leaf))
         return certified
     raise ConfigError(f"no structured searcher for rule {rule.name!r}")
 
@@ -271,7 +272,8 @@ def verify_transcript_invariants(transcript: Transcript) -> list[str]:
     store = transcript.store
     genesis_id = transcript.genesis.id
 
-    # the horizon: the header's, the schedule's, and every record's slot
+    # the horizon: the header's, the schedule's, and every record's slot;
+    # each kind in slot order, which the analyses rely on
     duration = transcript.duration
     schedule = SynchronySchedule.from_json(transcript.header["schedule"])
     if duration != schedule.duration:
@@ -286,6 +288,10 @@ def verify_transcript_invariants(transcript: Transcript) -> list[str]:
         if outside:
             problems.append(f"{len(outside)} {kind} record(s) outside slots "
                             f"1..{duration}, the first at slot {outside[0]}")
+        back = next(((a, b) for a, b in pairwise(slots) if b < a), None)
+        if back is not None:
+            problems.append(f"a {kind} record at slot {back[1]} follows one "
+                            f"at slot {back[0]}")
 
     first_broadcast: dict[str, int] = {}
     for slot, sender, mid in transcript.broadcasts:

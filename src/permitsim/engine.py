@@ -31,8 +31,9 @@ it grants nothing.
 in which a processor with a ``standing`` strategy and no delivery or
 response due is not stepped: its last requests are drawn again.  A
 strategy that overrides no hook, as the observer, stands.
-``run_execution`` validates a config and steps it through every slot.  A
-strategy that simulates a private world steps an ``Execution`` of its own,
+``run_execution`` validates a config, builds its timing rule from the
+spec and steps it through every slot.  A strategy that simulates a
+private world steps an ``Execution`` of its own, handed the rule itself,
 so that world runs under the same rules.
 
 The transcript is the engine's complete, deterministic record: re-running
@@ -89,13 +90,16 @@ class ExecutionConfig:
     """A fully resolved execution instance.
 
     Each fact has one owner: the horizon is the schedule's and the setting
-    (timed or untimed) is the permitter's.
+    (timed or untimed) is the permitter's.  ``timing`` is a spec dict that
+    ``run_execution`` builds and checks against the schedule with
+    ``build_timing_rule``; a rule object is refused.  ``Execution`` takes a
+    built rule, for a private world stepped by a strategy.
     """
 
     delta: int
     epsilon: float
     schedule: SynchronySchedule
-    timing: object  # TimingRule or a config dict for build_timing_rule
+    timing: dict  # a spec for build_timing_rule
     pool: ResourcePool
     permitter: object  # states timed and lookahead; see the permitter module
     confirmation: ConfirmationRule
@@ -113,22 +117,11 @@ class ExecutionConfig:
             raise ConfigError("the delay bound must be at least one slot")
         if not 0 < self.epsilon < 1:
             raise ConfigError("epsilon must lie strictly between 0 and 1")
-        if not self.processors:
-            raise ConfigError("the roster is empty")
-        ids = [p.id for p in self.processors]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("processor ids must be unique")
-        groups_seen: dict[str, str] = {}
-        for p in self.processors:
-            if not p.id:
-                raise ConfigError("processor ids must be nonempty")
-            for g in p.groups:
-                if g in groups_seen and groups_seen[g] != p.id:
-                    raise ConfigError(
-                        f"key group {g!r} is claimed by both {groups_seen[g]!r} "
-                        f"and {p.id!r}"
-                    )
-                groups_seen[g] = p.id
+        if not isinstance(self.timing, dict):
+            raise ConfigError(
+                f"timing is a {type(self.timing).__name__}, not a spec dict "
+                f"for build_timing_rule")
+        check_roster(self.processors)
         self.permitter.check_pool(self.pool)
         owned = {g for p in self.processors for g in p.groups}
         for key in self.pool.declared_keys():
@@ -137,6 +130,24 @@ class ExecutionConfig:
                     f"pool assigns balance to key group {key.owner!r} owned by "
                     f"no processor"
                 )
+
+
+def check_roster(processors: list[ProcessorSpec]) -> None:
+    """Refuse an empty roster, an empty or repeated id, or a key group
+    claimed by two processors."""
+    if not processors:
+        raise ConfigError("the roster is empty")
+    ids = [p.id for p in processors]
+    if len(set(ids)) != len(ids):
+        raise ConfigError("processor ids must be unique")
+    groups_seen: dict[str, str] = {}
+    for p in processors:
+        if not p.id:
+            raise ConfigError("processor ids must be nonempty")
+        for g in p.groups:
+            if groups_seen.setdefault(g, p.id) != p.id:
+                raise ConfigError(f"key group {g!r} is claimed by both "
+                                  f"{groups_seen[g]!r} and {p.id!r}")
 
 
 class Grant(NamedTuple):
@@ -619,12 +630,9 @@ class Execution:
 def run_execution(config: ExecutionConfig) -> Transcript:
     """Run one execution to completion and return its transcript."""
     config.validate()
-    if isinstance(config.timing, TimingRule):
-        rule = config.timing
-    else:
-        rule = build_timing_rule(
-            dict(config.timing), schedule=config.schedule, delta=config.delta,
-            seed=config.seed, roster_ids=[p.id for p in config.processors])
+    rule = build_timing_rule(
+        config.timing, schedule=config.schedule, delta=config.delta,
+        seed=config.seed, roster_ids=[p.id for p in config.processors])
     run = Execution(config, rule, _describe_config(config, rule))
     for slot in range(1, config.duration + 1):
         run.step(slot)

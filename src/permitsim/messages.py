@@ -53,9 +53,6 @@ class PublicKey(namedtuple("PublicKey", ("owner", "index"), defaults=(0,))):
     def label(self) -> str:
         return f"{self.owner}/{self.index}"
 
-    def to_json(self) -> list:
-        return [self.owner, self.index]
-
 
 @dataclass(frozen=True, init=False)
 class Message:

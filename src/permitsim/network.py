@@ -267,14 +267,16 @@ def build_timing_rule(spec: dict, *, schedule: SynchronySchedule, delta: int,
                 )
         rule = PartitionRule(base, groups, interval)
     elif policy == "custom":
+        isolated = set(spec.pop("isolated_receivers", []))
+        # the base rule routes nothing to an isolated receiver
         base = build_timing_rule(
             spec.pop("base", {"policy": "uniform_delay", "delay": 1}),
-            schedule=schedule, delta=delta, seed=seed, roster_ids=roster_ids)
+            schedule=schedule, delta=delta, seed=seed,
+            roster_ids=[p for p in roster_ids if p not in isolated])
         entries = {}
         for item in spec.pop("entries", []):
             receiver, msg_id, due = item["receiver"], item["msg_id"], item["slot"]
             entries[(receiver, msg_id)] = None if due is None else int(due)
-        isolated = set(spec.pop("isolated_receivers", []))
         if isolated and schedule.sync_window_deadline(1, delta) is not None:
             raise ScheduleViolationError(
                 "isolating receivers is only admissible when the schedule has "

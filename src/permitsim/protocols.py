@@ -279,22 +279,6 @@ class _KDeepTracker:
         return self._current
 
 
-@dataclass(frozen=True)
-class DensityWitness:
-    """Evidence confirming a chain prefix of length ``chain_len``.
-
-    The chain's blocks all predate the window; ``block_count`` distinct
-    blocks with timestamps inside the window hang off the chain's leaf.
-    """
-
-    interval_index: int
-    interval: tuple[int, int]
-    leaf: str
-    chain_len: int
-    block_count: int
-    threshold: float
-
-
 class DensityCertificateRule(ConfirmationRule):
     """Chain confirmation by timestamped block density on a slot grid.
 
@@ -378,8 +362,10 @@ class DensityCertificateRule(ConfirmationRule):
 
     # -- confirmation -------------------------------------------------------
 
-    def find_witnesses(self, msg_ids, index: BlockIndex) -> list[DensityWitness]:
-        """All witnesses present inside the message set.
+    def find_witnesses(self, msg_ids, index: BlockIndex) -> list[tuple[int, str]]:
+        """The sorted (window i, leaf) keys of every witness present inside
+        the message set: at least ``threshold`` blocks timestamped inside
+        window i hang off the length-i chain ending at the leaf.
 
         Only a block whose whole chain lies in the set counts, as only an
         activated block counts in the tracker; a witness's leaf is then on
@@ -396,22 +382,15 @@ class DensityCertificateRule(ConfirmationRule):
             key = self.admit(b, index)
             if key is not None:
                 counts[key] = counts.get(key, 0) + 1
-        witnesses = []
-        for (i, leaf), count in counts.items():
-            if count < self.threshold:
-                continue
-            witnesses.append(DensityWitness(
-                interval_index=i, interval=self.window(i), leaf=leaf,
-                chain_len=i, block_count=count, threshold=self.threshold,
-            ))
-        return witnesses
+        return sorted(key for key, count in counts.items()
+                      if count >= self.threshold)
 
     def confirm(self, msg_ids, index: BlockIndex) -> tuple[str, ...]:
         best = min(self.find_witnesses(msg_ids, index), default=None,
-                   key=lambda w: _witness_rank(w.chain_len, w.leaf))
+                   key=lambda key: _witness_rank(*key))
         if best is None:
             return ()
-        return index.ancestry(best.leaf)
+        return index.ancestry(best[1])
 
     def make_tracker(self, view: BlockSetView):
         return _DensityTracker(self, view)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -285,25 +286,13 @@ class SimulationRelease(Scenario):
         return (lo, max(lo, hi))
 
     def _inner_config(self, params, seed) -> ExecutionConfig:
+        """The attacked run's config with only the majority roster."""
         keys_a, keys_b = self._maj_keys(params)
         pool = ConstantBalancePool({k: Fraction(2) for k in keys_a + keys_b},
                                    mode=UNSIZED, bounds=self._bounds(params))
-        return ExecutionConfig(
-            delta=params["delta"],
-            epsilon=0.1,
-            schedule=SynchronySchedule.fully_synchronous(params["duration"]),
-            timing={"policy": "per_edge_random",
-                    "max_delay": params["max_delay"]},
-            pool=pool,
-            permitter=WorkPermitter(
-                Fraction(params["rate"]),
-                reference_scale=params["reference_scale"]),
-            confirmation=KDeepRule(params["confirm_k"]),
-            processors=[ProcessorSpec(id=s.id, keys=s.keys, strategy=s.strategy)
-                        for s in self._inner_specs(params)],
-            seed=seed,
-            label=f"{self.name}-inner-{seed}",
-        )
+        return replace(self._attacked_config(params, seed)[0], pool=pool,
+                       processors=self._inner_specs(params),
+                       label=f"{self.name}-inner-{seed}")
 
     def _attacked_config(self, params, seed):
         keys_a, keys_b = self._maj_keys(params)

@@ -10,7 +10,7 @@ from permitsim.adversary import (PrivateForkStrategy,
                                  build_isolated_observer_instance)
 from permitsim.analysis import check_security
 from permitsim.engine import (ExecutionConfig, ProcessorSpec, run_execution)
-from permitsim.errors import ConfigError, ExecutionFault
+from permitsim.errors import ConfigError, ExecutionFault, ScheduleViolationError
 from permitsim.messages import PublicKey, make_block
 from permitsim.network import (PerEdgeRandomRule, SynchronySchedule,
                                UniformDelayRule)
@@ -254,7 +254,7 @@ class TestSimulationAttack:
                 inner_timing=UniformDelayRule(1),
                 confirm_k=2),
             adversary=True)
-        with pytest.raises(ConfigError, match="split across"):
+        with pytest.raises(ConfigError, match="claimed by both"):
             run_execution(attacked_cfg)
 
     def test_constructor_validation(self):
@@ -269,6 +269,10 @@ class TestSimulationAttack:
         dup = inner_specs() + inner_specs()
         with pytest.raises(ConfigError, match="unique"):
             SimulationAttackerStrategy(dup, rule, 2)
+        nameless = [ProcessorSpec(id="", keys=(MAJ[0],),
+                                  strategy=HonestWorkStrategy)]
+        with pytest.raises(ConfigError, match="nonempty"):
+            SimulationAttackerStrategy(nameless, rule, 2)
 
     def test_fixed_release_slot(self):
         _, attacked_cfg, made = sim_pair()
@@ -418,6 +422,14 @@ class TestIsolatedObservers:
             tips[proc] = series[-1][0]
         assert tips["watch_a"] == viol.tip_a
         assert tips["watch_b"] == viol.tip_b
+
+    def test_isolation_needs_an_asynchronous_schedule(self):
+        cfg, transcript, viol = self.make_violating_run()
+        arms, _ = self.arms_for(transcript, viol)
+        extended_cfg = build_isolated_observer_instance(cfg, transcript, arms)
+        extended_cfg.schedule = SynchronySchedule.fully_synchronous(cfg.duration)
+        with pytest.raises(ScheduleViolationError, match="isolating receivers"):
+            run_execution(extended_cfg)
 
     def test_arm_validation(self):
         cfg, transcript, viol = self.make_violating_run()

@@ -246,6 +246,25 @@ class TestValidate:
         assert (f"1 {kind} record(s) outside slots 1..30, the first at "
                 f"slot {slot}") in out
 
+    def test_records_out_of_slot_order_fail(self, capsys, tmp_path):
+        # the loader keeps file order, and the analyses read each kind in
+        # slot order: swap p0's first and last confirmation
+        path = tmp_path / "run.transcript"
+        run_execution(work_config(duration=300)).save(path)
+        lines = path.read_text().splitlines()
+        recs = [json.loads(line) for line in lines]
+        p0 = [i for i, rec in enumerate(recs)
+              if rec["type"] == "confirm" and rec["proc"] == "p0"]
+        a, b = p0[0], p0[-1]
+        assert recs[a]["slot"] < recs[b]["slot"]
+        lines[a], lines[b] = lines[b], lines[a]
+        path.write_text("\n".join(lines) + "\n")
+        code, out, _ = run_cli(capsys, "validate", str(path))
+        assert code == 1
+        [problem] = [line for line in out.splitlines() if "follows one" in line]
+        assert problem.startswith("  - a confirm record at slot ")
+        assert problem.endswith(f" follows one at slot {recs[b]['slot']}")
+
     def test_security_report_flag(self, capsys, tmp_path):
         _, path = self.save_run(tmp_path)
         code, out, _ = run_cli(capsys, "validate", str(path),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from permitsim.engine import run_execution
+from permitsim.engine import Execution, run_execution
 from permitsim.errors import ConfigError, ScheduleViolationError
 from permitsim.network import (PARTIALLY_SYNCHRONOUS, CustomTableRule,
                                PartitionRule, PerEdgeRandomRule,
@@ -144,6 +144,16 @@ class TestBuildTimingRule:
         assert rule.delivery_slot("a", "c", "m", 1) is None
         assert rule.delivery_slot("a", "b", "m", 1) == 2
 
+    def test_a_partition_base_need_not_group_isolated_receivers(self):
+        # an observer replay over a partitioned run: the observer "c" is
+        # isolated, so the partition groups only the original roster
+        spec = {"policy": "custom", "isolated_receivers": ["c"],
+                "base": {"policy": "partition", "groups": [["a"], ["b"]],
+                         "interval": [3, 6]}}
+        rule = self.build(spec, schedule=SynchronySchedule.fully_asynchronous(20))
+        assert rule.delivery_slot("a", "b", "m", 4) == 7  # deferred past 6
+        assert rule.delivery_slot("a", "c", "m", 4) is None
+
 
 class TestDeliverMessages:
     # (rule family, timing spec, async intervals) over a 40-slot run
@@ -173,7 +183,7 @@ class TestDeliverMessages:
         rule = build_timing_rule(spec, schedule=config.schedule,
                                  delta=config.delta, seed=config.seed,
                                  roster_ids=[p.id for p in config.processors])
-        config.timing = rule
+        config.timing = spec
         t = run_execution(config)
         due = {(receiver, mid): rule.delivery_slot(sender, receiver, mid, slot)
                for slot, sender, mid in t.broadcasts
@@ -188,9 +198,22 @@ class TestDeliverMessages:
             def delivery_slot(self, *a):
                 return a[3]
 
+        # a rule object reaches the engine only as a private world's rule
         config = work_config(duration=60, rate=1)
-        config.timing = Instant(1)
+        run = Execution(config, Instant(1), header={})
         with pytest.raises(ScheduleViolationError, match="not after"):
+            for slot in range(1, config.duration + 1):
+                run.step(slot)
+
+    def test_a_rule_object_is_not_a_timing_spec(self):
+        # delay 5 past the bound 2 on a synchronous schedule: the spec
+        # would be refused, and the rule object must not slip past that
+        config = work_config(duration=60, rate=1, delta=2)
+        config.timing = UniformDelayRule(5)
+        with pytest.raises(ConfigError, match="not a spec dict"):
+            run_execution(config)
+        config.timing = {"policy": "uniform_delay", "delay": 5}
+        with pytest.raises(ScheduleViolationError, match="exceeds the bound"):
             run_execution(config)
 
 

@@ -130,7 +130,7 @@ class TestDensityRule:
         ids = [genesis.id, pre[0].id] + [b.id for b in inside]
         rule = self.rule(threshold=3)
         witnesses = rule.find_witnesses(ids, index)
-        assert [w.leaf for w in witnesses] == [genesis.id]
+        assert [leaf for _, leaf in witnesses] == [genesis.id]
         assert rule.confirm(ids, index) == (genesis.id,)
 
     def test_too_few_blocks_is_no_witness(self):

@@ -20,8 +20,8 @@ from .blocktree import BlockIndex, BlockSetView
 from .engine import (ExecutionConfig, Grant, ProcessorSpec, Transcript,
                      run_execution)
 from .errors import (ConfigError, DanglingBlockError, ExecutionFault,
-                     LedgerTooLargeError, ScheduleViolationError,
-                     SettingMismatchError, TranscriptFormatError)
+                     ScheduleViolationError, SettingMismatchError,
+                     TranscriptFormatError)
 from .experiment import (ExperimentSpec, Scenario, canonical_report_bytes,
                          run_experiment)
 from .messages import Message, PublicKey, genesis_block, make_block

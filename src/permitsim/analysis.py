@@ -17,10 +17,10 @@ chain must only ever extend), same-slot agreement across processors, and
 the global any-pair variant.
 
 A block is *certifiable* in a message set when some subset of the set
-confirms a chain containing it.  Two independent searchers ship: a
-structured one per rule family, and an exhaustive subset-enumeration
-oracle (bitmask-accelerated, refuses sets above 15 messages) used to
-cross-check the structured one on small ledgers.
+confirms a chain containing it.  The search replays the set once through
+the rule's own tracker and reads every subset's answer from it; the test
+suite cross-checks it against an exhaustive subset enumeration on small
+ledgers.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 from itertools import pairwise
 from statistics import NormalDist
 
-from .blocktree import BlockIndex, compatible, complete_in
+from .blocktree import BlockIndex, compatible
 from .engine import Transcript
-from .errors import ConfigError, LedgerTooLargeError, SettingMismatchError
+from .errors import ConfigError, SettingMismatchError
 from .network import SynchronySchedule, check_delta_conformance
 from .protocols import (ConfirmationRule, DensityCertificateRule, KDeepRule,
                         ProductionProfile, density_threshold, interval_length_r)
@@ -205,52 +205,33 @@ def check_security(transcript: Transcript,
 # certificates
 # ---------------------------------------------------------------------------
 
-EXHAUSTIVE_LEDGER_CAP = 15
+def certifiable_blocks(msg_ids, rule: ConfirmationRule,
+                       index: BlockIndex) -> set[str]:
+    """Blocks B with a confirming subset of the message set under ``rule``.
 
-
-def certifiable_blocks(msg_ids, rule: ConfirmationRule, index: BlockIndex,
-                       method: str = "structured") -> set[str]:
-    """Blocks B with a confirming subset of the message set under ``rule``."""
-    if method == "structured":
-        return _certifiable_structured(msg_ids, rule, index)
-    if method == "exhaustive":
-        return _certifiable_exhaustive(msg_ids, rule, index)
-    raise ConfigError(f"unknown certificate search method {method!r}")
-
-
-def _certifiable_structured(msg_ids, rule, index: BlockIndex) -> set[str]:
-    present = {m for m in msg_ids if m in index}
-    present.add(index.genesis_id)  # genesis is ambient in every message state
+    One replay of the set (genesis added, as every message state holds
+    it) through the rule's tracker answers for every subset: under k-deep
+    a subset confirms the k-truncated chain of any block active in it,
+    and under density certificates the chain of any witness the set
+    holds.
+    """
+    present = set(msg_ids)
+    present.add(index.genesis_id)
+    tracker = rule.track(present, index)
     if isinstance(rule, KDeepRule):
-        # the singleton {genesis} always confirms genesis
-        certified: set[str] = {index.genesis_id}
-        for b in present:
-            if not complete_in(b, present, index):
-                continue
-            chain = index.ancestry(b)
-            cut = max(1, len(chain) - rule.k)
-            certified.update(chain[:cut])
-        return certified
-    if isinstance(rule, DensityCertificateRule):
-        certified = set()
-        for _, leaf in rule.find_witnesses(present, index):
-            certified.update(index.ancestry(leaf))
-        return certified
-    raise ConfigError(f"no structured searcher for rule {rule.name!r}")
-
-
-def _certifiable_exhaustive(msg_ids, rule, index: BlockIndex) -> set[str]:
-    ids = sorted({m for m in msg_ids if m in index and m != index.genesis_id})
-    if len(ids) > EXHAUSTIVE_LEDGER_CAP:
-        raise LedgerTooLargeError(
-            f"{len(ids)} messages exceed the exhaustive cap of "
-            f"{EXHAUSTIVE_LEDGER_CAP}")
+        view = tracker.view
+        cuts = [index.ancestor_at_height(b, max(0, index.height(b) - rule.k))
+                for b in present if view.is_active(b)]
+    elif isinstance(rule, DensityCertificateRule):
+        cuts = [leaf for (_, leaf), count in tracker.counts.items()
+                if count >= rule.threshold]
+    else:
+        raise ConfigError(f"no certificate search for rule {rule.name!r}")
     certified: set[str] = set()
-    n = len(ids)
-    for mask in range(1 << n):
-        subset = [ids[i] for i in range(n) if mask >> i & 1]
-        subset.append(index.genesis_id)
-        certified.update(rule.confirm(subset, index))
+    for b in cuts:
+        while b is not None and b not in certified:  # the chain, once
+            certified.add(b)
+            b = index.parent(b)
     return certified
 
 
@@ -352,21 +333,29 @@ def verify_transcript_invariants(transcript: Transcript) -> list[str]:
                 f"{sender} broadcast unpermitted message {mid[:12]} at {slot}")
         _keep_earliest(held_at, pair, slot)
 
-    # confirmed tips: broadcast (or genesis), consistent per processor
+    # confirmed tips: broadcast blocks (or genesis), consistent per
+    # processor; no tip confirms nothing
     last_by_proc: dict[str, tuple[str, int]] = {}
     for slot, proc, tip, ln in transcript.confirmations:
         if tip is None:
+            if ln != 0:
+                problems.append(f"{proc} confirmed length {ln} with no tip "
+                                f"at slot {slot}")
             continue
         if tip != genesis_id:
             sent = first_broadcast.get(tip)
             if sent is None:
                 problems.append(f"{proc} confirmed never-broadcast {tip[:12]}")
                 continue
+            if tip not in index:
+                problems.append(f"{proc} confirmed {tip[:12]}, which is not "
+                                f"a block, at slot {slot}")
+                continue
             if sent > slot:
                 problems.append(
                     f"{proc} confirmed {tip[:12]} at {slot} before its "
                     f"broadcast at {sent}")
-        if tip in index and index.height(tip) + 1 != ln:
+        if index.height(tip) + 1 != ln:
             problems.append(
                 f"confirmed length {ln} disagrees with tip height for {proc}")
         prev = last_by_proc.get(proc)

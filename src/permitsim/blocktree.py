@@ -145,28 +145,6 @@ def compatible(a: str, b: str, index: BlockIndex) -> bool:
     return index.ancestor_at_height(a, hb) == b
 
 
-def complete_in(block_id: str, present: set[str], index: BlockIndex) -> bool:
-    """True when the block's full ancestry lies inside ``present``."""
-    return present.issuperset(index.ancestry(block_id))
-
-
-def longest_chain_tip(block_ids, index: BlockIndex) -> str | None:
-    """Tip of the longest chain inside the set (ties: smallest id).
-
-    Only blocks whose full ancestry is inside the set can anchor chains;
-    with no such block there is no chain and the result is None.
-    """
-    present = set(block_ids)
-    best: tuple[int, str] | None = None
-    for b in present:
-        if b not in index or not complete_in(b, present, index):
-            continue
-        cand = (-index.height(b), b)
-        if best is None or cand < best:
-            best = cand
-    return None if best is None else best[1]
-
-
 # -- message sets -------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ fails its checks, 2 for configuration errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -102,10 +103,9 @@ def _cmd_run(args) -> int:
         if args.trials is not None or args.seed_base is not None or args.overrides:
             raise ConfigError("--trials/--seed-base/--set only apply with "
                               "--scenario; edit the spec file instead")
-        if args.out:
-            spec.output_dir = args.out
-        if args.retain_transcripts:
-            spec.retain_transcripts = True
+        spec = dataclasses.replace(
+            spec, output_dir=args.out or spec.output_dir,
+            retain_transcripts=args.retain_transcripts or spec.retain_transcripts)
     else:
         params = {}
         for item in args.overrides:
@@ -162,8 +162,12 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    eps_grid = sorted({float(x) for x in args.eps_grid.split(",") if x},
-                      reverse=True)
+    try:
+        eps_grid = sorted({float(x) for x in args.eps_grid.split(",") if x},
+                          reverse=True)
+    except ValueError:
+        raise ConfigError(f"--eps-grid needs comma-separated numbers, got "
+                          f"{args.eps_grid!r}") from None
     if not eps_grid or not all(0 < e < 1 for e in eps_grid):
         raise ConfigError("--eps-grid needs values in (0, 1)")
     if args.trials < 10:

@@ -40,7 +40,3 @@ class TranscriptFormatError(ValueError):
 
 class DanglingBlockError(KeyError):
     """A block's parent is absent from the set under inspection."""
-
-
-class LedgerTooLargeError(ValueError):
-    """The exhaustive certificate search refuses ledgers above its cap."""

@@ -53,6 +53,9 @@ class ExperimentSpec:
             raise ConfigError("trials must be at least 1")
         if self.seed_base < 0:
             raise ConfigError("seed_base cannot be negative")
+        if self.retain_transcripts and self.output_dir is None:
+            raise ConfigError("retained transcripts need an output directory "
+                              "(output.directory or --out)")
 
     @classmethod
     def from_dict(cls, data: dict, source: str = "spec") -> "ExperimentSpec":

@@ -248,7 +248,14 @@ def build_timing_rule(spec: dict, *, schedule: SynchronySchedule, delta: int,
             )
         rule = PerEdgeRandomRule(max_delay, seed)
     elif policy == "partition":
-        interval = tuple(spec.pop("interval"))
+        missing = sorted({"interval", "groups"} - spec.keys())
+        if missing:
+            raise ConfigError(f"partition timing needs {missing}")
+        interval = spec.pop("interval")
+        if not (isinstance(interval, (list, tuple)) and len(interval) == 2
+                and all(isinstance(t, int) for t in interval)):
+            raise ConfigError(f"partition interval must be two slots "
+                              f"[first, last], got {interval!r}")
         if not 1 <= interval[0] <= interval[1] <= schedule.duration:
             raise ConfigError("partition interval outside the duration")
         groups = spec.pop("groups")
@@ -275,6 +282,10 @@ def build_timing_rule(spec: dict, *, schedule: SynchronySchedule, delta: int,
             roster_ids=[p for p in roster_ids if p not in isolated])
         entries = {}
         for item in spec.pop("entries", []):
+            if not (isinstance(item, dict)
+                    and item.keys() >= {"receiver", "msg_id", "slot"}):
+                raise ConfigError(f"a custom timing entry needs receiver, "
+                                  f"msg_id and slot, got {item!r}")
             receiver, msg_id, due = item["receiver"], item["msg_id"], item["slot"]
             entries[(receiver, msg_id)] = None if due is None else int(due)
         if isolated and schedule.sync_window_deadline(1, delta) is not None:

@@ -17,7 +17,10 @@ Two honest families ship here:
   current slot broadcasts one block, timestamped with the slot,
   extending the longest chain tip.
 
-Confirmation rules turn a message set into a confirmed chain:
+Confirmation rules turn a message set into a confirmed chain.  A rule is
+its tracker: the engine runs it over each processor's growing view, and
+``confirm`` replays any message set through a fresh view, so each rule
+is written once.  Two ship:
 
 * depth confirmation: the longest chain minus its last ``k`` blocks
   (genesis is always confirmed);
@@ -35,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blocktree import BlockIndex, BlockSetView, longest_chain_tip
+from .blocktree import BlockIndex, BlockSetView
 from .errors import ConfigError
 from .messages import Message, PublicKey, make_block
 from .permitter import PermitRequest, PermitResponse
@@ -216,18 +219,39 @@ class HonestStakeStrategy(Strategy):
 
 
 class ConfirmationRule:
-    """Maps message sets to confirmed chains."""
+    """Maps message sets to confirmed chains.
+
+    A rule is defined once, by its tracker: the engine feeds it every
+    block a processor's view activates, and ``confirm`` replays an
+    arbitrary message set through a fresh one.
+    """
 
     name = "abstract"
-
-    def confirm(self, msg_ids, index: BlockIndex) -> tuple[str, ...]:
-        """Confirmed chain (genesis first) for an arbitrary message set."""
-        raise NotImplementedError
 
     def make_tracker(self, view: BlockSetView):
         """Incremental per-view tracker; its ``on_block`` gets each block
         the view activates and is true when ``current()`` may change."""
         raise NotImplementedError
+
+    def track(self, msg_ids, index: BlockIndex):
+        """A tracker over a fresh view holding the set's blocks, fed every
+        block the view activates; ``tracker.view`` is that view."""
+        tracker = self.make_tracker(BlockSetView(index))
+        view = tracker.view
+        for mid in msg_ids:
+            if mid in index:
+                for bid in view.add(index.block(mid)):
+                    tracker.on_block(bid)
+        return tracker
+
+    def confirm(self, msg_ids, index: BlockIndex) -> tuple[str, ...]:
+        """Confirmed chain (genesis first) for an arbitrary message set; a
+        set without genesis confirms nothing."""
+        msg_ids = set(msg_ids)
+        if index.genesis_id not in msg_ids:
+            return ()
+        tip, _ = self.track(msg_ids, index).current()
+        return () if tip is None else index.ancestry(tip)
 
     def describe(self) -> dict:
         return {"family": self.name}
@@ -242,14 +266,6 @@ class KDeepRule(ConfirmationRule):
         if k < 0:
             raise ConfigError("confirmation depth cannot be negative")
         self.k = int(k)
-
-    def confirm(self, msg_ids, index: BlockIndex) -> tuple[str, ...]:
-        blocks = {m for m in msg_ids if m in index}
-        tip = longest_chain_tip(blocks, index)
-        if tip is None:
-            return ()
-        chain = index.ancestry(tip)
-        return chain[: max(1, len(chain) - self.k)]
 
     def make_tracker(self, view: BlockSetView):
         return _KDeepTracker(self.k, view)
@@ -361,36 +377,6 @@ class DensityCertificateRule(ConfirmationRule):
         return self._keys.setdefault(key, key)
 
     # -- confirmation -------------------------------------------------------
-
-    def find_witnesses(self, msg_ids, index: BlockIndex) -> list[tuple[int, str]]:
-        """The sorted (window i, leaf) keys of every witness present inside
-        the message set: at least ``threshold`` blocks timestamped inside
-        window i hang off the length-i chain ending at the leaf.
-
-        Only a block whose whole chain lies in the set counts, as only an
-        activated block counts in the tracker; a witness's leaf is then on
-        a counted block's chain, so it lies in the set too.
-        """
-        present = {m for m in msg_ids if m in index}
-        complete: set[str] = set()
-        counts: dict[tuple[int, str], int] = {}
-        for b in sorted(present, key=index.height):  # parents first
-            parent = index.parent(b)
-            if parent is not None and parent not in complete:
-                continue
-            complete.add(b)
-            key = self.admit(b, index)
-            if key is not None:
-                counts[key] = counts.get(key, 0) + 1
-        return sorted(key for key, count in counts.items()
-                      if count >= self.threshold)
-
-    def confirm(self, msg_ids, index: BlockIndex) -> tuple[str, ...]:
-        best = min(self.find_witnesses(msg_ids, index), default=None,
-                   key=lambda key: _witness_rank(*key))
-        if best is None:
-            return ()
-        return index.ancestry(best[1])
 
     def make_tracker(self, view: BlockSetView):
         return _DensityTracker(self, view)

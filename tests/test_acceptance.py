@@ -58,7 +58,7 @@ from permitsim.resource_pool import (SIZED, UNSIZED, ConstantBalancePool,
                                      StakePool)
 from permitsim.scenarios import SCENARIOS
 
-from conftest import leaves
+from conftest import exhaustive_certifiable_blocks, leaves
 
 
 class _Gate(Scenario):
@@ -205,10 +205,8 @@ class TestCertificateSearcherEquivalence:
                                        duration=40),
             ]
             for rule in rules:
-                exhaustive = certifiable_blocks(ids, rule, index,
-                                                method="exhaustive")
-                structured = certifiable_blocks(ids, rule, index,
-                                                method="structured")
+                exhaustive = exhaustive_certifiable_blocks(ids, rule, index)
+                structured = certifiable_blocks(ids, rule, index)
                 assert structured == exhaustive, (i, rule.name)
 
 
@@ -306,8 +304,7 @@ class TestHiddenTotalSimulationAttack:
 
             broadcast_ids = {mid for _s, _p, mid in attacked.broadcasts}
             certified = certifiable_blocks(broadcast_ids, rule,
-                                           attacked.index,
-                                           method="structured")
+                                           attacked.index)
             return {"seed": seed, "coupled": coupled,
                     # two incompatible certified blocks broadcast
                     "forged": len(leaves(certified, attacked.index)) >= 2,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permitsim.analysis import (EllTable, LedgerTooLargeError, ViolationRecord,
+from permitsim.analysis import (EllTable, ViolationRecord,
                                 build_certificate_recalibration,
                                 certifiable_blocks, check_security,
                                 measure_liveness, recalibrate_union_bound,
@@ -17,13 +17,16 @@ from permitsim.analysis import (EllTable, LedgerTooLargeError, ViolationRecord,
 from permitsim.blocktree import BlockIndex, compatible
 from permitsim.engine import Transcript, run_execution
 from permitsim.errors import ConfigError, SettingMismatchError
-from permitsim.messages import PublicKey, genesis_block, make_block
+from permitsim.messages import (PAYLOAD, Message, PublicKey, genesis_block,
+                                make_block)
 from permitsim.permitter import PermitRequest
 from permitsim.protocols import (DensityCertificateRule, KDeepRule,
                                  ProductionProfile, Strategy)
 from permitsim.resource_pool import ConstantBalancePool, StakePool
 
-from conftest import build_chain, confirmed_series, work_config
+from conftest import (EXHAUSTIVE_LEDGER_CAP, LedgerTooLargeError, build_chain,
+                      confirmed_series, exhaustive_certifiable_blocks,
+                      work_config)
 
 P = PublicKey("p", 0)
 Q = PublicKey("q", 0)
@@ -305,8 +308,8 @@ class TestCertifiableBlocks:
                                            n=rnd.randrange(0, 9))
             ids = [b.id for b in blocks if rnd.random() < 0.85]
             rule = KDeepRule(rnd.randrange(0, 4))
-            assert certifiable_blocks(ids, rule, index, "structured") == \
-                certifiable_blocks(ids, rule, index, "exhaustive")
+            assert certifiable_blocks(ids, rule, index) == \
+                exhaustive_certifiable_blocks(ids, rule, index)
 
     def test_density_structured_equals_exhaustive(self):
         rnd = random.Random(13)
@@ -315,26 +318,23 @@ class TestCertifiableBlocks:
             g, index, blocks = random_tree(rnd, timed=True,
                                            n=rnd.randrange(0, 10))
             ids = [b.id for b in blocks if rnd.random() < 0.9]
-            assert certifiable_blocks(ids, rule, index, "structured") == \
-                certifiable_blocks(ids, rule, index, "exhaustive")
+            assert certifiable_blocks(ids, rule, index) == \
+                exhaustive_certifiable_blocks(ids, rule, index)
 
     def test_exhaustive_cap(self, index, genesis):
         chain = build_chain(index, P, 16)
+        assert len(chain) == EXHAUSTIVE_LEDGER_CAP + 1
         ids = [genesis.id] + [b.id for b in chain]
         with pytest.raises(LedgerTooLargeError):
-            certifiable_blocks(ids, KDeepRule(2), index, "exhaustive")
-        # the structured searcher has no such limit
-        certified = certifiable_blocks(ids, KDeepRule(2), index, "structured")
+            exhaustive_certifiable_blocks(ids, KDeepRule(2), index)
+        # the search in the package has no such limit
+        certified = certifiable_blocks(ids, KDeepRule(2), index)
         assert len(certified) == 15
-
-    def test_unknown_method(self, index, genesis):
-        with pytest.raises(ConfigError):
-            certifiable_blocks([genesis.id], KDeepRule(1), index, "oracle")
 
     def test_non_block_ids_are_ignored(self, index, genesis):
         chain = build_chain(index, P, 3)
         ids = [genesis.id, "not-a-block"] + [b.id for b in chain]
-        got = certifiable_blocks(ids, KDeepRule(1), index, "structured")
+        got = certifiable_blocks(ids, KDeepRule(1), index)
         assert got == {genesis.id, chain[0].id, chain[1].id}
 
 
@@ -429,6 +429,23 @@ class TestInvariants:
         t.confirmations.append((t.duration, t.roster_ids[0], "e" * 64, 9))
         assert any("never-broadcast" in p
                    for p in verify_transcript_invariants(t))
+
+    def test_a_confirmed_length_without_a_tip_is_caught(self):
+        t = self.fresh()
+        slot, proc, _tip, _ln = t.confirmations[0]
+        t.confirmations[0] = (slot, proc, None, 40)
+        assert (f"{proc} confirmed length 40 with no tip at slot {slot}"
+                in verify_transcript_invariants(t))
+
+    def test_a_confirmed_payload_is_caught(self):
+        t = self.fresh()
+        slot, proc, _tip, ln = t.confirmations[0]
+        note = Message(P, kind=PAYLOAD, payload="note")
+        t.store[note.id] = note
+        t.broadcasts.insert(0, (1, proc, note.id))
+        t.confirmations[0] = (slot, proc, note.id, ln)
+        assert (f"{proc} confirmed {note.id[:12]}, which is not a block, at "
+                f"slot {slot}" in verify_transcript_invariants(t))
 
     def test_shrinking_ledger_is_caught(self):
         t = self.fresh()

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permitsim.blocktree import (BlockIndex, BlockSetView, compatible,
-                                 complete_in, longest_chain_tip)
+from permitsim.blocktree import BlockIndex, BlockSetView, compatible
 from permitsim.errors import DanglingBlockError
 from permitsim.messages import (PAYLOAD, Message, PublicKey, genesis_block,
                                 make_block)
 
-from conftest import block_ids, build_chain, leaves
+from conftest import (block_ids, build_chain, complete_in, leaves,
+                      longest_chain_tip)
 
 P = PublicKey("p", 0)
 Q = PublicKey("q", 0)

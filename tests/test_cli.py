@@ -52,6 +52,17 @@ class TestRun:
         assert len(list((out_dir / "transcripts").iterdir())) == 2
         assert "report written" in err
 
+    def test_retained_transcripts_need_a_directory(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "run", "--scenario", "honest_work_liveness",
+            "--set", "duration=100", "--retain-transcripts")
+        assert code == 2 and "need an output directory" in err
+        cfg = tmp_path / "exp.yaml"
+        cfg.write_text("scenario: honest_work_liveness\n")
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg),
+                               "--retain-transcripts")
+        assert code == 2 and "need an output directory" in err
+
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "exp.yaml"
         cfg.write_text("scenario: honest_work_liveness\n"
@@ -422,3 +433,10 @@ class TestCalibrate:
             capsys, "calibrate-ell", "--trials", "12",
             "--eps-grid", "0.5,2.0", "--out", str(tmp_path / "t.json"))
         assert code == 2
+        for grid in ("abc", "0.5,abc"):
+            code, _, err = run_cli(
+                capsys, "calibrate-ell", "--trials", "12",
+                "--eps-grid", grid, "--out", str(tmp_path / "t.json"))
+            assert code == 2
+            assert f"--eps-grid needs comma-separated numbers, got {grid!r}" \
+                in err

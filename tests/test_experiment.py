@@ -45,6 +45,11 @@ class TestSpecParsing:
             ExperimentSpec.from_dict(
                 {"scenario": "x", "output": {"dir": "out"}})
 
+    def test_retained_transcripts_need_a_directory(self):
+        with pytest.raises(ConfigError, match="need an output directory"):
+            ExperimentSpec.from_dict({"scenario": "x",
+                                      "output": {"retain_transcripts": True}})
+
     def test_missing_scenario(self):
         with pytest.raises(ConfigError, match="scenario"):
             ExperimentSpec.from_dict({"trials": 3})

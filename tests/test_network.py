@@ -135,6 +135,23 @@ class TestBuildTimingRule:
                         "interval": [3, 6]},
                        schedule=partial(20, (3, 6)))
 
+    @pytest.mark.parametrize("spec,problem", [
+        ({"policy": "partition", "groups": [["a", "b", "c"]]},
+         "partition timing needs ['interval']"),
+        ({"policy": "partition", "interval": [3, 6]},
+         "partition timing needs ['groups']"),
+        ({"policy": "partition", "groups": [["a", "b", "c"]],
+          "interval": [3, 6, 9]}, "partition interval must be two slots"),
+        ({"policy": "partition", "groups": [["a", "b", "c"]],
+          "interval": 3}, "partition interval must be two slots"),
+        ({"policy": "custom", "entries": [{"receiver": "a", "slot": 4}]},
+         "a custom timing entry needs receiver, msg_id and slot"),
+    ])
+    def test_a_misshapen_spec_is_a_configuration_error(self, spec, problem):
+        with pytest.raises(ConfigError) as caught:
+            self.build(spec, schedule=partial(20, (3, 6)))
+        assert problem in str(caught.value)
+
     def test_isolation_needs_fully_async_schedule(self):
         spec = {"policy": "custom", "isolated_receivers": ["c"]}
         with pytest.raises(ScheduleViolationError):

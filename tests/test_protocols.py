@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permitsim.blocktree import BlockIndex, BlockSetView, longest_chain_tip
+from permitsim.analysis import certifiable_blocks
+from permitsim.blocktree import BlockIndex, BlockSetView
 from permitsim.engine import ProcessorSpec, run_execution
 from permitsim.errors import ConfigError
 from permitsim.messages import PublicKey, genesis_block, make_block
@@ -23,7 +24,8 @@ from permitsim.protocols import (DensityCertificateRule, HonestStakeStrategy,
                                  StepContext, Strategy, density_threshold,
                                  interval_length_r)
 
-from conftest import block_ids, build_chain, stake_config
+from conftest import (block_ids, brute_force_k_deep, build_chain,
+                      reference_confirm, stake_config)
 
 P = PublicKey("p", 0)
 Q = PublicKey("q", 0)
@@ -32,16 +34,6 @@ Q = PublicKey("q", 0)
 # ---------------------------------------------------------------------------
 # depth-k confirmation
 # ---------------------------------------------------------------------------
-
-
-def brute_force_k_deep(msg_ids, k, index):
-    """Reference implementation: longest chain, smallest-tip tie break,
-    then drop the last k blocks but never genesis."""
-    tip = longest_chain_tip(msg_ids, index)
-    if tip is None:
-        return ()
-    chain = index.ancestry(tip)
-    return chain[:max(1, len(chain) - k)]
 
 
 class TestKDeep:
@@ -129,8 +121,7 @@ class TestDensityRule:
                              timestamp=lambda i: 11 + i, tag="in")
         ids = [genesis.id, pre[0].id] + [b.id for b in inside]
         rule = self.rule(threshold=3)
-        witnesses = rule.find_witnesses(ids, index)
-        assert [leaf for _, leaf in witnesses] == [genesis.id]
+        assert certifiable_blocks(ids, rule, index) == {genesis.id}
         assert rule.confirm(ids, index) == (genesis.id,)
 
     def test_too_few_blocks_is_no_witness(self):
@@ -150,7 +141,7 @@ class TestDensityRule:
                     timestamp=lambda i: 21 + i, tag="in")
         ids = block_ids(index)
         rule = self.rule(threshold=3)
-        assert rule.find_witnesses(ids, index) == []
+        assert certifiable_blocks(ids, rule, index) == set()
         assert rule.confirm(ids, index) == ()
 
     def test_deeper_window_wins(self):
@@ -173,7 +164,8 @@ class TestDensityRule:
 
     def test_confirm_matches_the_tracker_on_random_held_sets(self):
         """A held block counts only once its chain is held: the rule on a
-        set agrees with the tracker fed that set in any order."""
+        set agrees with the tracker fed that set in any order, and with
+        the reference witness count."""
         import random
         rnd = random.Random(1)
         rule = self.rule(spacing=10, interval_len=4, threshold=2, duration=40)
@@ -199,6 +191,7 @@ class TestDensityRule:
             assert len(expected) == length
             ids = [genesis.id] + [b.id for b in held]
             assert rule.confirm(ids, index) == expected
+            assert reference_confirm(rule, ids, index) == expected
 
 
 class _Unmemoized(DensityCertificateRule):
